@@ -47,17 +47,27 @@
 //! grant mask — so nothing about the topology is mirrored out of band,
 //! and nothing can be silently misconfigured. Mismatches fail fast as
 //! typed [`HandshakeError`]s (`Version`, `Topology`, `ArenaMissing`,
-//! `Mode`), never as hangs. The legacy `TensorProducer` /
-//! `TensorConsumer` / `ShardedProducerGroup` entry points remain as
-//! `#[deprecated]` shims over the same engine (see the migration table
-//! in `examples/quickstart.rs`).
+//! `Mode`), never as hangs.
+//!
+//! The wire format is single-version: every peer is built from this
+//! workspace, each message family has exactly one encoding
+//! ([`HANDSHAKE_VERSION`], [`STATS_VERSION`], [`TRACE_VERSION`]) with
+//! every field required. A consumer refuses a WELCOME of any other
+//! version with [`HandshakeError::Version`], and [`scrape_stats`] /
+//! [`scrape_trace`] refuse replies of another version with
+//! [`TsError::Wire`]. What stays tolerant is
+//! input from outside the process that is merely *new*: frames with an
+//! unknown tag decode as `Unknown` and are counted
+//! (`producer.ctrl_unknown`, `consumer.data_unknown`), and unknown HELLO
+//! capability bits are counted (`producer.hello_unknown_caps`) and
+//! ignored.
 //!
 //! ## Control plane vs. data plane, and payload-mode negotiation
 //!
 //! TensorSocket splits each shard into a **control plane** (PUSH/PULL:
 //! joins, acks, heartbeats, hellos, stats scrapes) and a **data plane**
 //! (PUB/SUB: batch announcements). On the data plane, *what an
-//! announcement carries* is negotiated per consumer at attach (v2):
+//! announcement carries* is negotiated per consumer at attach:
 //!
 //! * [`PayloadMode::Shm`] — the announce carries **pointers**
 //!   ([`ts_tensor::TensorPayload`]) into shared memory; consumers on the
@@ -77,9 +87,7 @@
 //! sequence space, window and ack accounting, so a mixed fleet — some
 //! consumers on pointers, some on bytes — sees **bit-identical**
 //! `(epoch, shard, seq)` batch streams, and either side can detach
-//! without disturbing the other. v1 peers interoperate: a v1 consumer
-//! attaching to a v2 producer gets a byte-identical v1 WELCOME and the
-//! implied shm mode.
+//! without disturbing the other.
 //!
 //! ## Endpoint URIs and cross-process sharing
 //!
@@ -151,7 +159,7 @@
 //! functions of `(seed, epoch, shard count)`, training sees the same
 //! batch sequence on every run and on every consumer — and with
 //! `shards == 1` the group degenerates byte-for-byte to a plain
-//! [`TensorProducer`]. Shard endpoints derive from the group base
+//! one-source [`Producer`]. Shard endpoints derive from the group base
 //! endpoint (`ts_socket::shard_endpoint`): shard 0 *is* the base, so a
 //! one-shard group is wire-compatible with an unsharded deployment.
 //!
@@ -233,6 +241,7 @@
 //! | `producer.bytes_staged` | counter | bytes | payload bytes placed on the staging device |
 //! | `producer.replays` | counter | batches | rubberband replays sent to late joiners |
 //! | `producer.detached` | counter | consumers | consumers detached on heartbeat expiry |
+//! | `producer.joins_deferred` | counter | joins | joins parked until the next epoch boundary, per shard (answered `WaitEpoch`) |
 //! | `producer.ctrl_unknown` | counter | frames | unknown (future-version) control frames ignored |
 //! | `producer.hello_unknown_caps` | counter | hellos | HELLOs carrying capability bits this producer does not know |
 //! | `producer.stats_dup` | counter | replies | stats replies dropped for carrying a stale request stamp |
@@ -305,7 +314,7 @@
 //! pin depth stays bounded and `stage.publish_copy_bytes` stays 0, yet
 //! replay reach extends to everything the log retains.
 //!
-//! The replay contract, over the same v3 handshake:
+//! The replay contract, over the same handshake:
 //!
 //! * the WELCOME advertises the log ([`WelcomeInfo::log`], a
 //!   [`LogAd`] with the retained `[min, max]` offset range; the
@@ -365,9 +374,8 @@
 //!
 //! The log is per-run: sequence numbers restart at 0 each spawn, so the
 //! producer refuses a directory that already holds records. Without a
-//! log (or on a v1/v2 producer) a `group` name is inert and the
-//! consumer attaches live-only. See `examples/replay_smoke.rs` for the
-//! crash-and-resume loop end to end.
+//! log a `group` name is inert and the consumer attaches live-only. See
+//! `examples/replay_smoke.rs` for the crash-and-resume loop end to end.
 //!
 //! ## Crate layout
 //!
@@ -382,9 +390,8 @@
 //! * [`runtime`] — the threaded runtime behind the [`Producer`] /
 //!   [`Consumer`] facades: the producer pipelines over `ts-socket`
 //!   PUB/SUB + PUSH/PULL with real payload sharing through the
-//!   [`ts_tensor::SharedRegistry`], the sharded-group layer
-//!   ([`EpochCoordinator`]), and the deprecated legacy entry points
-//!   ([`TensorProducer`], [`TensorConsumer`], [`ShardedProducerGroup`]).
+//!   [`ts_tensor::SharedRegistry`], and the sharded-group layer
+//!   ([`EpochCoordinator`]).
 
 pub mod protocol;
 pub mod runtime;
@@ -400,13 +407,13 @@ pub use protocol::messages::{
 };
 pub use protocol::order::ShardInterleave;
 pub use protocol::rubberband::RubberbandPolicy;
-pub use runtime::builder::{Consumer, ConsumerBuilder, Producer, ProducerBuilder};
-pub use runtime::consumer::{ConsumerBatch, TensorConsumer};
+pub use runtime::builder::{ConsumerBuilder, Producer, ProducerBuilder};
+pub use runtime::consumer::{Consumer, ConsumerBatch};
 pub use runtime::context::TsContext;
-pub use runtime::coordinator::{EpochCoordinator, GroupJoin, ShardedProducerGroup};
-pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry, TensorProducer};
+pub use runtime::coordinator::{EpochCoordinator, GroupJoin};
+pub use runtime::producer::{EpochSource, ProducerStats, SampleGeometry};
 pub use runtime::scrape::{scrape_stats, scrape_trace};
-pub use runtime::{ConsumerConfig, FlexibleConfig, ProducerConfig, StagingConfig, StagingMode};
+pub use runtime::{FlexibleConfig, ProducerConfig, StagingConfig, StagingMode};
 pub use ts_metrics::{SpanKind, TraceRecordSnap, TraceRing};
 pub use ts_socket::{Endpoint, EndpointError, Scheme};
 
@@ -416,7 +423,8 @@ pub use ts_socket::{Endpoint, EndpointError, Scheme};
 /// producer advertises in its WELCOME.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HandshakeError {
-    /// Handshake protocol version skew between consumer and producer.
+    /// The producer's WELCOME carries a handshake version other than
+    /// this build's [`HANDSHAKE_VERSION`].
     Version {
         /// The consumer's version.
         ours: u32,

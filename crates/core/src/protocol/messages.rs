@@ -56,38 +56,19 @@ pub mod topics {
     }
 }
 
-/// Version of the HELLO/WELCOME attach handshake. A consumer sends it in
-/// [`CtrlMsg::Hello`]; the producer always answers with its own version in
-/// [`WelcomeInfo::version`], and the *consumer* decides compatibility —
-/// an old producer talking to a new consumer (or vice versa) surfaces as
-/// a typed version error on the consumer, never a silent misparse.
-///
-/// **v2** extends v1 with a `Hello` capability bitfield ([`caps`]),
-/// per-shard endpoint overrides and a granted payload-mode mask in the
-/// WELCOME, and a per-consumer [`PayloadMode`] in the `Join`. Every
-/// extension rides in *trailing* bytes that a v1 decoder never reads,
-/// so the two versions interoperate: a v2 producer answers a v1 `Hello`
-/// with a byte-identical v1 WELCOME, and a v1 consumer's `Join` decodes
-/// on a v2 producer with the v1 defaults (shm pointer-passing).
-///
-/// **v3** (this build) adds the durable-log advertisement: the WELCOME
-/// grows a trailing [`LogAd`] section (presence flag + retained range),
-/// and two new messages appear — [`CtrlMsg::Replay`] (tag 8), by which
-/// a consumer group asks for a log-backed catch-up stream, and
-/// [`DataMsg::LogInfo`] (tag 9), the producer's reply fixing the replay
-/// start and live-splice cutover. The same trailing-bytes discipline
-/// holds: the WELCOME tail is gated on the *encoded* version (a v3
-/// producer answers a v2 `Hello` with a byte-identical v2 WELCOME), and
-/// the new tags land in the ranges both sides already decode as
-/// `Unknown`, so a v2 producer log-ignores a `Replay` and a v2 consumer
-/// log-ignores a `LogInfo` instead of wedging.
+/// Version of the HELLO/WELCOME attach handshake. Every peer speaks
+/// exactly this version: a consumer sends it in [`CtrlMsg::Hello`], the
+/// producer answers with its own in [`WelcomeInfo::version`], and the
+/// *consumer* refuses any mismatch with a typed
+/// [`crate::HandshakeError::Version`] — never a silent misparse. Every
+/// field of every handshake message is required; a frame cut short
+/// anywhere is a wire error.
 pub const HANDSHAKE_VERSION: u32 = 3;
 
-/// `Hello` capability bits (handshake v2): what the consumer can do,
-/// declared before it knows anything about the producer. Unknown bits
-/// are ignored and counted (`producer.hello_unknown_caps`), never an
-/// error — a v3 consumer must be able to attach to a v2 producer on the
-/// v2 subset.
+/// `Hello` capability bits: what the consumer can do, declared before it
+/// knows anything about the producer. Unknown bits are ignored and
+/// counted (`producer.hello_unknown_caps`), never an error — the
+/// consumer gets what the WELCOME grants.
 pub mod caps {
     /// The consumer can map a shared-memory arena on this host.
     pub const SHM: u32 = 1 << 0;
@@ -99,7 +80,7 @@ pub mod caps {
 }
 
 /// How batch payload bytes reach one consumer — negotiated **per
-/// consumer** at attach time (handshake v2), not fixed at build time.
+/// consumer** at attach time, not fixed at build time.
 /// A consumer that proves it can open the advertised arena gets
 /// pointer-passing; one that cannot (a remote host) gets its batches
 /// streamed as length-prefixed bytes on its private topic, behind the
@@ -114,7 +95,7 @@ pub enum PayloadMode {
 }
 
 impl PayloadMode {
-    /// The one-byte encoding used in the v2 `Join`.
+    /// The one-byte encoding used in the `Join`.
     pub fn wire_code(self) -> u8 {
         match self {
             PayloadMode::Shm => 0,
@@ -143,25 +124,20 @@ impl PayloadMode {
 /// Version of the stats-scrape exchange ([`CtrlMsg::StatsRequest`] /
 /// [`DataMsg::Stats`]). The scraper sends its version and the producer
 /// echoes its own in [`StatsPayload::version`]; like the attach
-/// handshake, the *client* decides compatibility.
-///
-/// **v2** adds a trailing per-attempt sequence number to both sides:
-/// the scraper stamps every (re-)send of a request, the producer echoes
-/// the stamp on its reply, and the scraper drops replies whose stamp is
+/// handshake, the *client* refuses a mismatch
+/// ([`crate::scrape_stats`] fails with [`TsError::Wire`]). Both sides
+/// carry a
+/// per-attempt stamp: the scraper stamps every (re-)send of a request,
+/// the producer echoes it, and the scraper drops replies whose stamp is
 /// not the one currently in flight — a duplicate answer to a resent
-/// round can no longer masquerade as the *next* round's snapshot. v1
-/// frames (no stamp) decode with `seq == 0`.
-///
-/// **v3** appends producer uptime, a monotonic snapshot timestamp and the
-/// stall watchdog's last verdict after the histogram sections — again as
-/// trailing bytes gated on the encoded version, so v2 frames decode on a
-/// v3 build with zeroed extras and a v3 reply to a v2 scraper would stay
-/// parseable (older builds ignore trailing bytes they never read).
+/// round cannot masquerade as the *next* round's snapshot. Every field,
+/// the trailing uptime / snapshot stamp / watchdog verdict included, is
+/// required.
 pub const STATS_VERSION: u32 = 3;
 
 /// Version of the flight-recorder scrape exchange
-/// ([`CtrlMsg::TraceRequest`] / [`DataMsg::Trace`]). Same client-decides
-/// pattern as [`STATS_VERSION`].
+/// ([`CtrlMsg::TraceRequest`] / [`DataMsg::Trace`]). Same
+/// client-refuses contract as [`STATS_VERSION`].
 pub const TRACE_VERSION: u32 = 1;
 
 /// The shared-memory arena advertisement inside a [`WelcomeInfo`]: the
@@ -177,12 +153,12 @@ pub struct ArenaAd {
     pub slot_size: u64,
 }
 
-/// The durable batch log advertisement inside a [`WelcomeInfo`]
-/// (handshake v3): the producer keeps an on-disk log of published
-/// batches and can serve [`CtrlMsg::Replay`] requests over the retained
-/// sequence range. The range is a snapshot taken when the WELCOME was
-/// built — retention and appends move it — so consumers treat it as a
-/// hint; the authoritative replay start arrives in [`DataMsg::LogInfo`].
+/// The durable batch log advertisement inside a [`WelcomeInfo`]: the
+/// producer keeps an on-disk log of published batches and can serve
+/// [`CtrlMsg::Replay`] requests over the retained sequence range. The
+/// range is a snapshot taken when the WELCOME was built — retention and
+/// appends move it — so consumers treat it as a hint; the authoritative
+/// replay start arrives in [`DataMsg::LogInfo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogAd {
     /// Oldest retained global sequence number at WELCOME time.
@@ -227,16 +203,15 @@ pub struct WelcomeInfo {
     pub staging: u8,
     /// The shared-memory arena, when one backs the payload path.
     pub arena: Option<ArenaAd>,
-    /// Sparse `(shard, base URI)` endpoint overrides (v2): shards whose
-    /// base endpoint is *not* derived from the base URI by scheme rules —
-    /// e.g. a shard pipeline on another host. Empty from v1 producers.
+    /// Sparse `(shard, base URI)` endpoint overrides: shards whose base
+    /// endpoint is *not* derived from the base URI by scheme rules — e.g.
+    /// a shard pipeline on another host.
     pub endpoint_overrides: Vec<(u32, String)>,
     /// Bitmask ([`caps`] bits) of payload modes the producer can serve
-    /// this consumer. A v1 producer implies [`caps::SHM`] only.
+    /// this consumer.
     pub payload_modes: u32,
-    /// The durable batch log, when the producer keeps one (v3). `None`
-    /// from v1/v2 producers and from v3 producers running without a
-    /// (healthy) log. A logging producer that has not retained anything
+    /// The durable batch log, when the producer keeps one. `None` from
+    /// producers running without a (healthy) log. A logging producer that has not retained anything
     /// yet advertises the *inverted* range `retained_min > retained_max`
     /// (canonically `{1, 0}`) — "log enabled, nothing stored" — so group
     /// consumers still send [`CtrlMsg::Replay`] and register their
@@ -253,8 +228,7 @@ pub enum CtrlMsg {
         consumer_id: u64,
         /// Desired batch size (only meaningful under flexible sizing).
         batch_size: u32,
-        /// The payload mode this consumer selected after the handshake
-        /// (v2; a v1 `Join` implies [`PayloadMode::Shm`]).
+        /// The payload mode this consumer selected after the handshake.
         mode: PayloadMode,
     },
     /// The consumer subscribed to the batch topic and is ready to receive.
@@ -291,8 +265,7 @@ pub enum CtrlMsg {
         token: u64,
         /// The caller's [`HANDSHAKE_VERSION`].
         version: u32,
-        /// Capability bitfield ([`caps`]; v2 — a v1 `Hello` carries no
-        /// capability bytes and decodes as `0`, i.e. "v1 semantics").
+        /// Capability bitfield ([`caps`]).
         caps: u32,
     },
     /// Observability scrape: "report your metrics". Stateless like
@@ -304,9 +277,9 @@ pub enum CtrlMsg {
         token: u64,
         /// The scraper's [`STATS_VERSION`].
         version: u32,
-        /// Per-attempt stamp (v2): incremented on every resend of the
-        /// same token, echoed in [`DataMsg::Stats::seq`] so stale
-        /// duplicate replies are identifiable. `0` from a v1 scraper.
+        /// Per-attempt stamp: incremented on every resend of the same
+        /// token, echoed in [`DataMsg::Stats::seq`] so stale duplicate
+        /// replies are identifiable.
         seq: u32,
     },
     /// Flight-recorder scrape: "report your last completed batch
@@ -325,7 +298,7 @@ pub enum CtrlMsg {
         /// cap it further).
         max: u32,
     },
-    /// Ask for a log-backed replay stream (handshake v3; tag 8). Sent
+    /// Ask for a log-backed replay stream (tag 8). Sent
     /// after the Join/Ready exchange by a consumer whose WELCOME carried
     /// a [`LogAd`]. The producer registers `group`, resolves the actual
     /// start (cursor/oldest/explicit, clamped to the retained range and
@@ -334,8 +307,7 @@ pub enum CtrlMsg {
     /// the log range as ordinary streamed-payload batch announcements.
     /// Stateless against duplicates: a re-sent `Replay` for a consumer
     /// whose stream is already running or done only re-sends the
-    /// `LogInfo`. A v2 producer decodes this as `Unknown` and ignores it
-    /// — the consumer falls back to pure rubberband semantics.
+    /// `LogInfo`.
     Replay {
         /// Consumer id (already joined).
         consumer_id: u64,
@@ -441,7 +413,7 @@ pub enum AnnounceContent {
         /// The consumer batches, in visit order.
         batches: Vec<FlexBatchPayload>,
     },
-    /// Streamed mode (v2): the batch's bytes themselves, length-prefixed,
+    /// Streamed mode: the batch's bytes themselves, length-prefixed,
     /// for consumers that cannot map the arena (remote hosts). Sent on
     /// the consumer's private topic; rides the same [`DataMsg::Batch`]
     /// contract as the other kinds, so a future RDMA/ucx bulk transport
@@ -511,9 +483,8 @@ pub enum DataMsg {
         /// The stats token being answered.
         token: u64,
         /// Echo of the request's per-attempt stamp
-        /// ([`CtrlMsg::StatsRequest::seq`]); `0` when answering a v1
-        /// scraper. The scraper only accepts the stamp it currently has
-        /// in flight, so a duplicate answer to a resent round cannot be
+        /// ([`CtrlMsg::StatsRequest::seq`]). The scraper only accepts the
+        /// stamp it currently has in flight, so a duplicate answer to a resent round cannot be
         /// mistaken for a fresh snapshot.
         seq: u32,
         /// The metrics snapshot.
@@ -548,7 +519,7 @@ pub enum DataMsg {
         /// The trace records.
         payload: TracePayload,
     },
-    /// Reply to a [`CtrlMsg::Replay`] (handshake v3; tag 9), published
+    /// Reply to a [`CtrlMsg::Replay`] (tag 9), published
     /// on the consumer's private topic: the producer's binding decision
     /// on where the log-backed stream starts and where it hands over to
     /// the live stream. `start_seq` is the first replayed sequence
@@ -557,8 +528,7 @@ pub enum DataMsg {
     /// live subscription covers `live_seq..`, so the spliced stream is
     /// gapless and duplicate-free by construction. When
     /// `start_seq == live_seq` there is nothing to replay (fresh group
-    /// at the stream head). A v2 consumer decodes this as `Unknown` and
-    /// log-ignores it.
+    /// at the stream head).
     LogInfo {
         /// The consumer being answered.
         consumer_id: u64,
@@ -604,17 +574,16 @@ pub struct StatsPayload {
     pub gauge_bits: Vec<(String, u64)>,
     /// Histogram snapshots, sorted by name.
     pub histograms: Vec<(String, ts_metrics::HistogramSnapshot)>,
-    /// Producer wall-clock uptime in nanoseconds at snapshot time (v3;
-    /// `0` from older producers). Lets `ts-top` show "up 4m12s" and
+    /// Producer wall-clock uptime in nanoseconds at snapshot time. Lets `ts-top` show "up 4m12s" and
     /// distinguishes a freshly restarted producer from a long-lived one.
     pub uptime_ns: u64,
     /// Monotonic snapshot timestamp in nanoseconds, on the producer's
-    /// flight-recorder clock (v3; `0` from older producers). Two
+    /// flight-recorder clock. Two
     /// snapshots' counter deltas divided by their `snapshot_ns` delta
     /// give exact rates regardless of scrape jitter.
     pub snapshot_ns: u64,
-    /// The stall watchdog's last verdict (v3; empty when no stall has
-    /// been detected, and from older producers).
+    /// The stall watchdog's last verdict (empty when no stall has been
+    /// detected).
     pub verdict: String,
 }
 
@@ -632,8 +601,9 @@ impl StatsPayload {
                 .map(|(k, v)| (k, v.to_bits()))
                 .collect(),
             histograms: snap.histograms,
-            // The v3 extras are runtime state, not registry state: the
-            // producer's reply path fills them in before encoding.
+            // Uptime, stamp and verdict are runtime state, not registry
+            // state: the producer's reply path fills them in before
+            // encoding.
             uptime_ns: 0,
             snapshot_ns: 0,
             verdict: String::new(),
@@ -804,7 +774,6 @@ impl CtrlMsg {
                 buf.put_u8(0);
                 buf.put_u64_le(*consumer_id);
                 buf.put_u32_le(*batch_size);
-                // v2 trailing byte; a v1 producer stops reading before it.
                 buf.put_u8(mode.wire_code());
             }
             CtrlMsg::Ready { consumer_id } => {
@@ -832,7 +801,6 @@ impl CtrlMsg {
                 buf.put_u8(5);
                 buf.put_u64_le(*token);
                 buf.put_u32_le(*version);
-                // v2 trailing field; a v1 producer stops reading before it.
                 buf.put_u32_le(*caps);
             }
             CtrlMsg::StatsRequest {
@@ -843,7 +811,6 @@ impl CtrlMsg {
                 buf.put_u8(6);
                 buf.put_u64_le(*token);
                 buf.put_u32_le(*version);
-                // v2 trailing stamp; a v1 producer stops reading before it.
                 buf.put_u32_le(*seq);
             }
             CtrlMsg::TraceRequest {
@@ -892,17 +859,11 @@ impl CtrlMsg {
         let consumer_id = buf.get_u64_le();
         Ok(match tag {
             0 => {
-                need(buf, 4)?;
+                need(buf, 5)?;
                 let batch_size = buf.get_u32_le();
-                // v2 appends a payload-mode byte; a v1 Join ends here and
-                // implies the v1 behaviour (shm pointer-passing).
-                let mode = if buf.is_empty() {
-                    PayloadMode::Shm
-                } else {
-                    let code = buf.get_u8();
-                    PayloadMode::from_wire_code(code)
-                        .ok_or_else(|| TsError::Wire(format!("bad payload mode {code}")))?
-                };
+                let code = buf.get_u8();
+                let mode = PayloadMode::from_wire_code(code)
+                    .ok_or_else(|| TsError::Wire(format!("bad payload mode {code}")))?;
                 CtrlMsg::Join {
                     consumer_id,
                     batch_size,
@@ -920,26 +881,19 @@ impl CtrlMsg {
             3 => CtrlMsg::Heartbeat { consumer_id },
             4 => CtrlMsg::Leave { consumer_id },
             5 => {
-                need(buf, 4)?;
-                let version = buf.get_u32_le();
-                // v2 appends a capability bitfield; a v1 Hello ends here
-                // and declares nothing (v1 semantics).
-                let caps = if buf.len() >= 4 { buf.get_u32_le() } else { 0 };
+                need(buf, 8)?;
                 CtrlMsg::Hello {
                     token: consumer_id,
-                    version,
-                    caps,
+                    version: buf.get_u32_le(),
+                    caps: buf.get_u32_le(),
                 }
             }
             6 => {
-                need(buf, 4)?;
-                let version = buf.get_u32_le();
-                // v2 appends the per-attempt stamp; a v1 request ends here.
-                let seq = if buf.len() >= 4 { buf.get_u32_le() } else { 0 };
+                need(buf, 8)?;
                 CtrlMsg::StatsRequest {
                     token: consumer_id,
-                    version,
-                    seq,
+                    version: buf.get_u32_le(),
+                    seq: buf.get_u32_le(),
                 }
             }
             7 => {
@@ -1079,28 +1033,18 @@ impl DataMsg {
                         buf.put_u64_le(ad.slot_size);
                     }
                 }
-                // v2 tail, gated on the *encoded* version so a v2
-                // producer answering a v1 Hello emits a byte-identical
-                // v1 WELCOME.
-                if info.version >= 2 {
-                    buf.put_u32_le(info.endpoint_overrides.len() as u32);
-                    for (shard, uri) in &info.endpoint_overrides {
-                        buf.put_u32_le(*shard);
-                        put_bytes(&mut buf, uri.as_bytes());
-                    }
-                    buf.put_u32_le(info.payload_modes);
+                buf.put_u32_le(info.endpoint_overrides.len() as u32);
+                for (shard, uri) in &info.endpoint_overrides {
+                    buf.put_u32_le(*shard);
+                    put_bytes(&mut buf, uri.as_bytes());
                 }
-                // v3 tail (durable-log advertisement), same gating: a v3
-                // producer answering a v2 Hello emits a byte-identical
-                // v2 WELCOME.
-                if info.version >= 3 {
-                    match &info.log {
-                        None => buf.put_u8(0),
-                        Some(ad) => {
-                            buf.put_u8(1);
-                            buf.put_u64_le(ad.retained_min);
-                            buf.put_u64_le(ad.retained_max);
-                        }
+                buf.put_u32_le(info.payload_modes);
+                match &info.log {
+                    None => buf.put_u8(0),
+                    Some(ad) => {
+                        buf.put_u8(1);
+                        buf.put_u64_le(ad.retained_min);
+                        buf.put_u64_le(ad.retained_max);
                     }
                 }
             }
@@ -1112,11 +1056,7 @@ impl DataMsg {
                 buf.put_u8(6);
                 buf.put_u64_le(*token);
                 buf.put_u32_le(payload.version);
-                // v2 stamp echo, gated on the *encoded* version so a reply
-                // to a v1 scraper stays byte-identical to a v1 reply.
-                if payload.version >= 2 {
-                    buf.put_u32_le(*seq);
-                }
+                buf.put_u32_le(*seq);
                 buf.put_u32_le(payload.counters.len() as u32);
                 for (name, v) in &payload.counters {
                     put_bytes(&mut buf, name.as_bytes());
@@ -1139,14 +1079,9 @@ impl DataMsg {
                         buf.put_u64_le(c);
                     }
                 }
-                // v3 tail (uptime + snapshot stamp + watchdog verdict),
-                // gated on the *encoded* version so a v2 payload stays
-                // byte-identical to a v2 build's encoding.
-                if payload.version >= 3 {
-                    buf.put_u64_le(payload.uptime_ns);
-                    buf.put_u64_le(payload.snapshot_ns);
-                    put_bytes(&mut buf, payload.verdict.as_bytes());
-                }
+                buf.put_u64_le(payload.uptime_ns);
+                buf.put_u64_le(payload.snapshot_ns);
+                put_bytes(&mut buf, payload.verdict.as_bytes());
             }
             DataMsg::Cursor {
                 shard,
@@ -1342,45 +1277,30 @@ impl DataMsg {
                     }
                     f => return Err(TsError::Wire(format!("bad arena flag {f}"))),
                 };
-                // The v2 tail is *required* when the version field says 2+
-                // (truncation anywhere stays an error); a v1 WELCOME ends
-                // at the arena section and implies shm-only semantics.
-                let (endpoint_overrides, payload_modes) = if version >= 2 {
+                need(buf, 4)?;
+                let n = buf.get_u32_le() as usize;
+                if n > 1 << 16 {
+                    return Err(TsError::Wire("implausible override count".into()));
+                }
+                let mut endpoint_overrides = Vec::with_capacity(n);
+                for _ in 0..n {
                     need(buf, 4)?;
-                    let n = buf.get_u32_le() as usize;
-                    if n > 1 << 16 {
-                        return Err(TsError::Wire("implausible override count".into()));
+                    let shard = buf.get_u32_le();
+                    let uri = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
+                    endpoint_overrides.push((shard, uri));
+                }
+                need(buf, 5)?;
+                let payload_modes = buf.get_u32_le();
+                let log = match buf.get_u8() {
+                    0 => None,
+                    1 => {
+                        need(buf, 16)?;
+                        Some(LogAd {
+                            retained_min: buf.get_u64_le(),
+                            retained_max: buf.get_u64_le(),
+                        })
                     }
-                    let mut overrides = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        need(buf, 4)?;
-                        let shard = buf.get_u32_le();
-                        let uri = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
-                        overrides.push((shard, uri));
-                    }
-                    need(buf, 4)?;
-                    (overrides, buf.get_u32_le())
-                } else {
-                    (Vec::new(), caps::SHM)
-                };
-                // The v3 tail is likewise *required* when the version
-                // field says 3+; v1/v2 WELCOMEs end above and imply "no
-                // durable log".
-                let log = if version >= 3 {
-                    need(buf, 1)?;
-                    match buf.get_u8() {
-                        0 => None,
-                        1 => {
-                            need(buf, 16)?;
-                            Some(LogAd {
-                                retained_min: buf.get_u64_le(),
-                                retained_max: buf.get_u64_le(),
-                            })
-                        }
-                        f => return Err(TsError::Wire(format!("bad log flag {f}"))),
-                    }
-                } else {
-                    None
+                    f => return Err(TsError::Wire(format!("bad log flag {f}"))),
                 };
                 DataMsg::Welcome {
                     token,
@@ -1398,19 +1318,11 @@ impl DataMsg {
                 }
             }
             6 => {
-                // Fixed prefix: token (8) + version (4).
-                need(buf, 12)?;
+                // Fixed prefix: token (8) + version (4) + seq (4).
+                need(buf, 16)?;
                 let token = buf.get_u64_le();
                 let version = buf.get_u32_le();
-                // The v2 stamp is *required* when the version field says
-                // 2+ (truncation anywhere stays an error); a v1 reply ends
-                // its prefix here and carries stamp 0.
-                let seq = if version >= 2 {
-                    need(buf, 4)?;
-                    buf.get_u32_le()
-                } else {
-                    0
-                };
+                let seq = buf.get_u32_le();
                 let get_len = |buf: &mut &[u8]| -> Result<usize> {
                     need(buf, 4)?;
                     let n = buf.get_u32_le() as usize;
@@ -1461,18 +1373,10 @@ impl DataMsg {
                         },
                     ));
                 }
-                // The v3 tail is *required* when the version field says
-                // 3+ (truncation anywhere stays an error); older frames
-                // end at the histogram section and carry zeroed extras.
-                let (uptime_ns, snapshot_ns, verdict) = if version >= 3 {
-                    need(buf, 16)?;
-                    let uptime = buf.get_u64_le();
-                    let stamp = buf.get_u64_le();
-                    let verdict = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
-                    (uptime, stamp, verdict)
-                } else {
-                    (0, 0, String::new())
-                };
+                need(buf, 16)?;
+                let uptime_ns = buf.get_u64_le();
+                let snapshot_ns = buf.get_u64_le();
+                let verdict = String::from_utf8_lossy(&get_bytes(&mut buf)?).into_owned();
                 DataMsg::Stats {
                     token,
                     seq,
@@ -1658,65 +1562,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_ctrl_frames_decode_with_v1_defaults_on_a_v2_build() {
-        // Hand-encoded v1 frames: no capability field, no mode byte.
-        let mut hello = vec![5u8];
-        hello.extend_from_slice(&7u64.to_le_bytes());
-        hello.extend_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            CtrlMsg::decode(&hello).unwrap(),
-            CtrlMsg::Hello {
-                token: 7,
-                version: 1,
-                caps: 0,
-            },
-            "a v1 Hello declares no capabilities"
-        );
-        let mut join = vec![0u8];
-        join.extend_from_slice(&9u64.to_le_bytes());
-        join.extend_from_slice(&128u32.to_le_bytes());
-        assert_eq!(
-            CtrlMsg::decode(&join).unwrap(),
-            CtrlMsg::Join {
-                consumer_id: 9,
-                batch_size: 128,
-                mode: PayloadMode::Shm,
-            },
-            "a v1 Join implies shm pointer-passing"
-        );
-        // An unknown payload-mode byte is rejected, not misread.
-        join.push(9);
-        assert!(CtrlMsg::decode(&join).is_err());
-    }
-
-    #[test]
-    fn v2_ctrl_extensions_ride_in_trailing_bytes_a_v1_decoder_never_reads() {
-        // The v1 decoder read exactly 13 bytes of a Hello/Join; the v2
-        // encoding must be byte-identical up to there so a v1 producer
-        // parses a v2 frame as its v1 projection.
-        let hello = CtrlMsg::Hello {
-            token: 7,
-            version: HANDSHAKE_VERSION,
-            caps: caps::KNOWN,
-        }
-        .encode();
-        let mut v1_prefix = vec![5u8];
-        v1_prefix.extend_from_slice(&7u64.to_le_bytes());
-        v1_prefix.extend_from_slice(&HANDSHAKE_VERSION.to_le_bytes());
-        assert_eq!(&hello[..13], &v1_prefix[..]);
-        let join = CtrlMsg::Join {
-            consumer_id: 9,
-            batch_size: 64,
-            mode: PayloadMode::Stream,
-        }
-        .encode();
-        let mut v1_prefix = vec![0u8];
-        v1_prefix.extend_from_slice(&9u64.to_le_bytes());
-        v1_prefix.extend_from_slice(&64u32.to_le_bytes());
-        assert_eq!(&join[..13], &v1_prefix[..]);
-    }
-
-    #[test]
     fn unknown_ctrl_tags_decode_as_unknown_not_error() {
         // Forward compatibility: any well-formed frame with a tag from
         // the future decodes as `Unknown` so an older producer can
@@ -1776,9 +1621,7 @@ mod tests {
             },
         };
         // A welcome truncated at ANY byte is rejected with a wire error,
-        // never misparsed and never a panic — both shapes, every length
-        // (the v2 tail included: a version-2 welcome without its
-        // override table or mode mask is truncated, not "a v1 welcome").
+        // never misparsed and never a panic — both shapes, every length.
         for m in [bare, with_arena] {
             let good = m.encode();
             assert_eq!(DataMsg::decode(&good).unwrap(), m, "{m:?}");
@@ -1789,86 +1632,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn v2_producer_answers_v1_hello_with_a_byte_identical_v1_welcome() {
-        // Encoding a WelcomeInfo whose version field says 1 must produce
-        // exactly the v1 byte stream — no v2 tail — so a v1 consumer's
-        // decoder parses it to the last byte.
-        let v1_reply = DataMsg::Welcome {
-            token: 42,
-            info: WelcomeInfo {
-                version: 1,
-                shards: 2,
-                batch_size: 32,
-                flex_producer_batch: 0,
-                staging: 2,
-                arena: None,
-                endpoint_overrides: Vec::new(),
-                payload_modes: caps::SHM,
-                log: None,
-            },
-        };
-        let wire = v1_reply.encode();
-        let mut expected = vec![5u8];
-        expected.extend_from_slice(&42u64.to_le_bytes());
-        expected.extend_from_slice(&1u32.to_le_bytes());
-        expected.extend_from_slice(&2u32.to_le_bytes());
-        expected.extend_from_slice(&32u32.to_le_bytes());
-        expected.extend_from_slice(&0u32.to_le_bytes());
-        expected.push(2); // staging
-        expected.push(0); // no arena
-        assert_eq!(&wire[..], &expected[..], "v1 WELCOME must be bit-exact");
-        // And the v2 build decodes a v1 WELCOME back with the v1-implied
-        // semantics: no overrides, shm-only payload modes.
-        let decoded = DataMsg::decode(&wire).unwrap();
-        assert_eq!(decoded, v1_reply);
-    }
-
-    #[test]
-    fn v3_producer_answers_v2_hello_with_a_byte_identical_v2_welcome() {
-        // Encoding a WelcomeInfo whose version field says 2 must stop at
-        // the v2 tail — no log section — so a v2 consumer's decoder
-        // parses it to the last byte. (The log ad is dropped with the
-        // tail: a v2 consumer could not use it anyway.)
-        let v2_reply = DataMsg::Welcome {
-            token: 42,
-            info: WelcomeInfo {
-                version: 2,
-                shards: 2,
-                batch_size: 32,
-                flex_producer_batch: 0,
-                staging: 2,
-                arena: None,
-                endpoint_overrides: vec![(1, "tcp://10.0.0.2:9000".to_string())],
-                payload_modes: caps::SHM | caps::STREAM,
-                log: None,
-            },
-        };
-        let wire = v2_reply.encode();
-        let mut expected = vec![5u8];
-        expected.extend_from_slice(&42u64.to_le_bytes());
-        expected.extend_from_slice(&2u32.to_le_bytes());
-        expected.extend_from_slice(&2u32.to_le_bytes());
-        expected.extend_from_slice(&32u32.to_le_bytes());
-        expected.extend_from_slice(&0u32.to_le_bytes());
-        expected.push(2); // staging
-        expected.push(0); // no arena
-        expected.extend_from_slice(&1u32.to_le_bytes()); // one override
-        expected.extend_from_slice(&1u32.to_le_bytes());
-        let uri = b"tcp://10.0.0.2:9000";
-        expected.extend_from_slice(&(uri.len() as u32).to_le_bytes());
-        expected.extend_from_slice(uri);
-        expected.extend_from_slice(&(caps::SHM | caps::STREAM).to_le_bytes());
-        assert_eq!(&wire[..], &expected[..], "v2 WELCOME must be bit-exact");
-        // The v3 build decodes a v2 WELCOME back with "no durable log".
-        assert_eq!(DataMsg::decode(&wire).unwrap(), v2_reply);
-        // And a frame *claiming* v3 without the log section is truncated,
-        // not "a v2 welcome".
-        let mut claims_v3 = wire.to_vec();
-        claims_v3[9..13].copy_from_slice(&3u32.to_le_bytes());
-        assert!(DataMsg::decode(&claims_v3).is_err());
     }
 
     #[test]
@@ -2041,12 +1804,131 @@ mod tests {
         }
         .encode();
         assert!(DataMsg::decode(&good[..good.len() - 1]).is_err());
+
+        // Every field is required: no strict prefix of any control
+        // message, of a fully populated WELCOME or of a Stats reply
+        // decodes as some shorter message.
+        let ctrl = [
+            CtrlMsg::Join {
+                consumer_id: 7,
+                batch_size: 128,
+                mode: PayloadMode::Stream,
+            },
+            CtrlMsg::Ready { consumer_id: 7 },
+            CtrlMsg::Ack {
+                consumer_id: 7,
+                seq: 42,
+            },
+            CtrlMsg::Heartbeat { consumer_id: 7 },
+            CtrlMsg::Leave { consumer_id: 7 },
+            CtrlMsg::Hello {
+                token: 7,
+                version: HANDSHAKE_VERSION,
+                caps: caps::KNOWN,
+            },
+            CtrlMsg::StatsRequest {
+                token: 7,
+                version: STATS_VERSION,
+                seq: 3,
+            },
+            CtrlMsg::TraceRequest {
+                token: 7,
+                version: TRACE_VERSION,
+                seq: 5,
+                max: 64,
+            },
+            CtrlMsg::Replay {
+                consumer_id: 7,
+                group: "grp".to_string(),
+                from: ReplayFrom::Cursor,
+            },
+            CtrlMsg::Replay {
+                consumer_id: 7,
+                group: "grp".to_string(),
+                from: ReplayFrom::Seq(77),
+            },
+            CtrlMsg::Unknown { tag: 99 },
+        ];
+        for m in ctrl {
+            let wire = m.encode();
+            for len in 0..wire.len() {
+                assert!(
+                    CtrlMsg::decode(&wire[..len]).is_err(),
+                    "{m:?}: {len}-byte prefix of {} must be rejected",
+                    wire.len()
+                );
+            }
+        }
+        let welcome = DataMsg::Welcome {
+            token: 1,
+            info: WelcomeInfo {
+                version: HANDSHAKE_VERSION,
+                shards: 2,
+                batch_size: 32,
+                flex_producer_batch: 0,
+                staging: 2,
+                arena: Some(ArenaAd {
+                    path: "/dev/shm/ts.arena".into(),
+                    nslots: 64,
+                    slot_size: 1 << 20,
+                }),
+                endpoint_overrides: vec![(1, "tcp://10.0.0.2:9000".to_string())],
+                payload_modes: caps::KNOWN,
+                log: Some(LogAd {
+                    retained_min: 1,
+                    retained_max: 0,
+                }),
+            },
+        };
+        let stats = DataMsg::Stats {
+            token: 9,
+            seq: 11,
+            payload: StatsPayload {
+                version: STATS_VERSION,
+                counters: vec![("producer.batches".to_string(), 3)],
+                gauge_bits: vec![("stage.pin_depth".to_string(), 1.5f64.to_bits())],
+                histograms: vec![(
+                    "consumer.wait_ns".to_string(),
+                    ts_metrics::HistogramSnapshot {
+                        count: 1,
+                        sum: 42,
+                        max: 42,
+                        buckets: vec![(5, 1)],
+                    },
+                )],
+                uptime_ns: 1,
+                snapshot_ns: 2,
+                verdict: "loader-bound".to_string(),
+            },
+        };
+        for m in [welcome, stats] {
+            let wire = m.encode();
+            assert_eq!(DataMsg::decode(&wire).unwrap(), m);
+            for len in 0..wire.len() {
+                assert!(
+                    DataMsg::decode(&wire[..len]).is_err(),
+                    "{m:?}: {len}-byte prefix of {} must be rejected",
+                    wire.len()
+                );
+            }
+        }
+
+        // An unknown payload-mode byte in a Join is rejected, not misread.
+        let mut join = CtrlMsg::Join {
+            consumer_id: 9,
+            batch_size: 128,
+            mode: PayloadMode::Shm,
+        }
+        .encode()
+        .to_vec();
+        *join.last_mut().unwrap() = 9;
+        assert!(CtrlMsg::decode(&join).is_err());
     }
 
     #[test]
     fn unknown_data_tags_decode_as_unknown_not_error() {
         // Forward compatibility on the data path, the mirror of the ctrl
-        // side: a v3 producer adding topics must not wedge a v2 consumer.
+        // side: a newer producer adding topics must not wedge a consumer.
         for tag in [99u8, 250, 255] {
             let mut frame = vec![tag];
             frame.extend_from_slice(&1234u64.to_le_bytes());
@@ -2124,7 +2006,8 @@ mod tests {
         }
         r.histogram("consumer.wait_ns").record(42);
         let mut payload = StatsPayload::from_registry(&r);
-        // Exercise the v3 tail with every field populated.
+        // Exercise the uptime / stamp / verdict tail with every field
+        // populated.
         payload.uptime_ns = 90_000_000_000;
         payload.snapshot_ns = 1_234_567;
         payload.verdict = "consumer-straggler consumer=3".to_string();
@@ -2145,93 +2028,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn v1_stats_frames_decode_with_stamp_zero_on_a_v2_build() {
-        // A v1 scraper's request: tag + token + version 1, no stamp.
-        let mut req = vec![6u8];
-        req.extend_from_slice(&7u64.to_le_bytes());
-        req.extend_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            CtrlMsg::decode(&req).unwrap(),
-            CtrlMsg::StatsRequest {
-                token: 7,
-                version: 1,
-                seq: 0,
-            },
-            "a v1 StatsRequest carries stamp 0"
-        );
-        // A v1 producer's reply: version 1 in the payload, no stamp byte
-        // anywhere — the empty sections follow the version directly.
-        let mut reply = vec![6u8];
-        reply.extend_from_slice(&9u64.to_le_bytes());
-        reply.extend_from_slice(&1u32.to_le_bytes());
-        for _ in 0..3 {
-            reply.extend_from_slice(&0u32.to_le_bytes());
-        }
-        assert_eq!(
-            DataMsg::decode(&reply).unwrap(),
-            DataMsg::Stats {
-                token: 9,
-                seq: 0,
-                payload: StatsPayload {
-                    version: 1,
-                    counters: vec![],
-                    gauge_bits: vec![],
-                    histograms: vec![],
-                    uptime_ns: 0,
-                    snapshot_ns: 0,
-                    verdict: String::new(),
-                },
-            },
-            "a v1 Stats reply carries stamp 0"
-        );
-    }
-
-    #[test]
-    fn v2_stats_frames_decode_with_zeroed_extras_on_a_v3_build() {
-        // A v2 producer's reply ends at the (empty) histogram section:
-        // no uptime/stamp/verdict tail. A v3 decoder must zero-fill.
-        let mut reply = vec![6u8];
-        reply.extend_from_slice(&9u64.to_le_bytes());
-        reply.extend_from_slice(&2u32.to_le_bytes()); // payload version 2
-        reply.extend_from_slice(&11u32.to_le_bytes()); // request seq stamp
-        for _ in 0..3 {
-            reply.extend_from_slice(&0u32.to_le_bytes());
-        }
-        let m = DataMsg::decode(&reply).unwrap();
-        match m {
-            DataMsg::Stats {
-                token,
-                seq,
-                payload,
-            } => {
-                assert_eq!((token, seq), (9, 11));
-                assert_eq!(payload.version, 2);
-                assert_eq!(payload.uptime_ns, 0);
-                assert_eq!(payload.snapshot_ns, 0);
-                assert!(payload.verdict.is_empty());
-            }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        // Conversely a frame *claiming* v3 without the tail is truncated.
-        assert!(
-            DataMsg::decode(
-                &{
-                    let mut r = vec![6u8];
-                    r.extend_from_slice(&9u64.to_le_bytes());
-                    r.extend_from_slice(&3u32.to_le_bytes());
-                    r.extend_from_slice(&11u32.to_le_bytes());
-                    for _ in 0..3 {
-                        r.extend_from_slice(&0u32.to_le_bytes());
-                    }
-                    r
-                }[..]
-            )
-            .is_err(),
-            "a v3 payload without the tail must be rejected"
-        );
     }
 
     #[test]
@@ -2279,30 +2075,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn v1_trace_requests_decode_with_defaults_on_newer_builds() {
-        // TraceRequest is born at v1, but keep the lenient-suffix habit:
-        // extra trailing bytes from a future version must not break us.
-        let mut req = CtrlMsg::TraceRequest {
-            token: 7,
-            version: TRACE_VERSION,
-            seq: 2,
-            max: 32,
-        }
-        .encode()
-        .to_vec();
-        req.extend_from_slice(&[0xFF; 8]);
-        assert_eq!(
-            CtrlMsg::decode(&req).unwrap(),
-            CtrlMsg::TraceRequest {
-                token: 7,
-                version: TRACE_VERSION,
-                seq: 2,
-                max: 32,
-            }
-        );
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! The unified builder API: one [`Producer`], one [`Consumer`],
-//! endpoint-only attach.
+//! The public API: one [`Producer`], one [`Consumer`], endpoint-only
+//! attach.
 //!
 //! The paper's pitch is that a training script adopts TensorSocket by
-//! swapping one line. The legacy surface grew away from that: producers
-//! picked between two divergent entry points (`TensorProducer::spawn` vs
-//! `ShardedProducerGroup::spawn`) and a consumer had to out-of-band
-//! mirror the producer's shard count, arena path and batch schema —
-//! exactly the silent-misconfiguration trap the data-loading literature
-//! warns about. This module folds all of it under two facades:
+//! swapping one line, so the whole surface is two facades:
 //!
-//! * [`Producer::builder()`] — one handle subsuming the plain and the
-//!   sharded producer (one source = the degenerate one-shard case). It
+//! * [`Producer::builder()`] — one handle for the plain and the sharded
+//!   producer (one source = the degenerate one-shard case). It
 //!   auto-creates and auto-sizes the shared-memory arena and its
 //!   recycling slot pool from the loader's own geometry and pipeline
 //!   hints ([`crate::runtime::producer::SampleGeometry`]), instead of
@@ -23,21 +18,15 @@
 //!   batch schema and the staging mode. Mismatches surface as typed
 //!   [`HandshakeError`]s — never as hangs or silently wrong training
 //!   streams.
-//!
-//! The wire protocol and delivery engine are unchanged: a [`Consumer`]'s
-//! batch stream is byte-identical to the legacy `TensorConsumer`'s (the
-//! runtime test-suite asserts it across sharded/arena/staging
-//! topologies), and the legacy types remain as thin `#[deprecated]`
-//! shims over the same internals.
 
 use crate::protocol::messages::{
     caps, topics, CtrlMsg, DataMsg, PayloadMode, WelcomeInfo, HANDSHAKE_VERSION,
 };
 use crate::protocol::rubberband::RubberbandPolicy;
 use crate::runtime::config::{ConsumerConfig, FlexibleConfig, ProducerConfig, ProducerMap};
-use crate::runtime::consumer::{rand_id, ConsumerBatch, StopReason, TensorConsumer};
+use crate::runtime::consumer::{rand_id, Consumer};
 use crate::runtime::context::TsContext;
-use crate::runtime::coordinator::{EpochCoordinator, ShardedProducerGroup};
+use crate::runtime::coordinator::EpochCoordinator;
 use crate::runtime::producer::{EpochSource, ProducerStats, TensorProducer};
 use crate::runtime::staging::{StagingConfig, StagingMode};
 use crate::{HandshakeError, Result, TsError};
@@ -103,8 +92,10 @@ impl ProducerBuilder {
     /// Overrides shard `shard`'s base endpoint — the multi-host escape
     /// hatch: that shard binds (and is advertised at) the given URI
     /// instead of the one derived from the base endpoint by scheme rules.
-    /// Advertised verbatim in the v2 WELCOME, so consumers follow the
-    /// override with no out-of-band configuration.
+    /// Advertised verbatim in the WELCOME, so consumers follow the
+    /// override with no out-of-band configuration. Shard 0 answers the
+    /// handshake at the base endpoint and cannot be overridden in a
+    /// multi-shard topology.
     pub fn shard_endpoint<E>(mut self, shard: u32, endpoint: E) -> Self
     where
         E: TryInto<Endpoint>,
@@ -186,7 +177,7 @@ impl ProducerBuilder {
 
     /// Keeps a durable batch log under `dir` (one subdirectory per
     /// shard): every published batch is teed to disk by a background
-    /// spiller, the v3 WELCOME advertises the retained range, and
+    /// spiller, the WELCOME advertises the retained range, and
     /// consumers attaching with [`ConsumerBuilder::group`] replay the
     /// logged tail before splicing onto the live stream. The directory
     /// must be empty (or fresh) — sequence numbers restart per run, so
@@ -302,6 +293,13 @@ impl ProducerBuilder {
         if sources.is_empty() {
             return Err(TsError::Config("producer needs at least one source".into()));
         }
+        if sources.len() > 1 && self.cfg.shard_endpoints.iter().any(|(s, _)| *s == 0) {
+            return Err(TsError::Config(
+                "shard 0 is the handshake endpoint consumers hello at; set it via the \
+                 base endpoint, not a shard_endpoint(0, ..) override"
+                    .into(),
+            ));
+        }
         if let Some((shard, _)) = self
             .cfg
             .shard_endpoints
@@ -322,14 +320,45 @@ impl ProducerBuilder {
             Some(spec) => Some(Self::provision_arena(&ctx, &cfg, &sources, spec)?),
         };
         let endpoint = cfg.endpoint.clone();
-        let engine = if shards == 1 {
+        if shards == 1 {
             let source = sources.into_iter().next().expect("one source");
-            Engine::Single(TensorProducer::spawn_impl(source, &ctx, cfg)?)
-        } else {
-            Engine::Group(ShardedProducerGroup::spawn_impl(sources, &ctx, cfg)?)
-        };
+            return Ok(Producer {
+                pipelines: vec![TensorProducer::spawn(source, &ctx, cfg, None, 0)?],
+                coordinator: None,
+                endpoint,
+                ctx,
+                arena,
+            });
+        }
+        // Every shard's base comes from one override-aware map; the full
+        // override table stays only on shard 0, whose WELCOME advertises
+        // it (a non-zero shard's own single-shard endpoint layout must
+        // root at its resolved base, not re-apply group overrides).
+        let group_map = EndpointMap::with_overrides(&endpoint, shards, cfg.shard_endpoints.clone());
+        let coordinator = Arc::new(EpochCoordinator::new(shards, cfg.heartbeat_timeout));
+        let mut pipelines = Vec::with_capacity(shards);
+        for (shard, source) in sources.into_iter().enumerate() {
+            let mut shard_cfg = cfg.clone();
+            shard_cfg.endpoint = group_map.shard_base(shard);
+            if shard != 0 {
+                shard_cfg.shard_endpoints = Vec::new();
+            }
+            let coord = Some(coordinator.clone());
+            match TensorProducer::spawn(source, &ctx, shard_cfg, coord, shard as u32) {
+                Ok(p) => pipelines.push(p),
+                Err(e) => {
+                    // Unwind the shards already running.
+                    coordinator.stop();
+                    for p in &pipelines {
+                        p.abort();
+                    }
+                    return Err(e);
+                }
+            }
+        }
         Ok(Producer {
-            engine,
+            pipelines,
+            coordinator: Some(coordinator),
             endpoint,
             ctx,
             arena,
@@ -421,12 +450,6 @@ impl ProducerBuilder {
     }
 }
 
-/// The two engine shapes a [`Producer`] subsumes.
-enum Engine {
-    Single(TensorProducer),
-    Group(ShardedProducerGroup),
-}
-
 /// The producing end of a TensorSocket: one handle over the data-loading
 /// pipeline(s), whether one shard or many.
 ///
@@ -455,7 +478,10 @@ enum Engine {
 /// producer.join().unwrap();
 /// ```
 pub struct Producer {
-    engine: Engine,
+    /// One pipeline per shard (index = shard).
+    pipelines: Vec<TensorProducer>,
+    /// Keeps a sharded group in lockstep; `None` for one pipeline.
+    coordinator: Option<Arc<EpochCoordinator>>,
     endpoint: String,
     ctx: TsContext,
     arena: Option<Arc<ShmArena>>,
@@ -479,10 +505,7 @@ impl Producer {
 
     /// Number of shard pipelines (1 for a plain producer).
     pub fn num_shards(&self) -> usize {
-        match &self.engine {
-            Engine::Single(_) => 1,
-            Engine::Group(g) => g.num_shards(),
-        }
+        self.pipelines.len()
     }
 
     /// The base endpoint URI consumers attach to.
@@ -503,24 +526,28 @@ impl Producer {
 
     /// The epoch coordinator, when sharded (inspection and tests).
     pub fn coordinator(&self) -> Option<&Arc<EpochCoordinator>> {
-        match &self.engine {
-            Engine::Single(_) => None,
-            Engine::Group(g) => Some(g.coordinator()),
-        }
+        self.coordinator.as_ref()
     }
 
     /// Requests every pipeline to stop after the batch in flight.
     pub fn abort(&self) {
-        match &self.engine {
-            Engine::Single(p) => p.abort(),
-            Engine::Group(g) => g.abort(),
+        if let Some(coordinator) = &self.coordinator {
+            coordinator.stop();
+        }
+        for p in &self.pipelines {
+            p.abort();
         }
     }
 
     /// Waits for every pipeline to finish; returns the stats aggregated
     /// across shards (see [`Producer::join_shards`] for per-shard
-    /// numbers). Like the legacy join, an aborted producer returns its
-    /// partial stats rather than an error.
+    /// numbers).
+    ///
+    /// Joining an aborted producer is not an error: the partial stats
+    /// accumulated up to the abort are returned (with `epochs_completed`
+    /// short of the configured count), and the pipelines skip the
+    /// outstanding-ack drain so the join returns promptly. `Err` is
+    /// reserved for a panicked pipeline thread.
     pub fn join(self) -> Result<ProducerStats> {
         let per_shard = self.join_shards()?;
         let mut total = ProducerStats::default();
@@ -545,10 +572,11 @@ impl Producer {
     /// (index = shard).
     pub fn join_shards(self) -> Result<Vec<ProducerStats>> {
         let shards = self.num_shards();
-        let stats = match self.engine {
-            Engine::Single(p) => vec![p.join()?],
-            Engine::Group(g) => g.join()?,
-        };
+        let stats = self
+            .pipelines
+            .into_iter()
+            .map(TensorProducer::join)
+            .collect::<Result<Vec<_>>>()?;
         // The builder provisioned the recycling pools, so it also drains
         // them: idle recycled slots hold a producer reference each, and
         // without this the arena would report them in use forever.
@@ -576,7 +604,6 @@ pub struct ConsumerBuilder {
     ctx: Option<TsContext>,
     shards_override: Option<usize>,
     handshake_timeout: Duration,
-    hello_version: u32,
     payload_mode: Option<PayloadMode>,
 }
 
@@ -587,7 +614,6 @@ impl ConsumerBuilder {
             ctx: None,
             shards_override: None,
             handshake_timeout: Duration::from_secs(10),
-            hello_version: HANDSHAKE_VERSION,
             payload_mode: None,
         }
     }
@@ -641,7 +667,7 @@ impl ConsumerBuilder {
     }
 
     /// Names this consumer's **group**: when the producer keeps a durable
-    /// log (v3 WELCOME advertises it), connect sends `Replay` per shard
+    /// log (its WELCOME advertises it), connect sends `Replay` per shard
     /// and resumes from the group's persisted cursor — a consumer
     /// restarted after a crash (`kill -9` included) replays the logged
     /// range it never acked, then splices onto the live stream
@@ -650,8 +676,7 @@ impl ConsumerBuilder {
     /// current epoch from its start (epoch-coherent — the rubberband
     /// admission point caps the replay cursor; already-acked batches are
     /// re-delivered identically and leave the cursor untouched). Without
-    /// a log (or on older producers) the name is inert and the consumer
-    /// joins live-only.
+    /// a log the name is inert and the consumer joins live-only.
     pub fn group(mut self, name: impl Into<String>) -> Self {
         self.cfg.group = Some(name.into());
         self
@@ -664,13 +689,6 @@ impl ConsumerBuilder {
     /// topology.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards_override = Some(shards);
-        self
-    }
-
-    /// Overrides the HELLO version (handshake-evolution tests).
-    #[doc(hidden)]
-    pub fn hello_version(mut self, version: u32) -> Self {
-        self.hello_version = version;
         self
     }
 
@@ -715,16 +733,10 @@ impl ConsumerBuilder {
             Some(mode) => mode.cap_bit(),
             None => caps::KNOWN,
         };
-        let welcome = handshake(
-            &ctx,
-            &endpoint,
-            self.handshake_timeout,
-            self.hello_version,
-            our_caps,
-        )?;
-        if welcome.version != self.hello_version {
+        let welcome = handshake(&ctx, &endpoint, self.handshake_timeout, our_caps)?;
+        if welcome.version != HANDSHAKE_VERSION {
             return Err(HandshakeError::Version {
-                ours: self.hello_version,
+                ours: HANDSHAKE_VERSION,
                 theirs: welcome.version,
             }
             .into());
@@ -739,13 +751,8 @@ impl ConsumerBuilder {
                 .into());
             }
         }
-        // What the producer will serve us. A v1 WELCOME has no grant mask
-        // and means shm-only.
-        let granted = if welcome.version >= 2 {
-            welcome.payload_modes
-        } else {
-            caps::SHM
-        };
+        // What the producer will serve us.
+        let granted = welcome.payload_modes;
         let mut mode = forced.unwrap_or(PayloadMode::Shm);
         if granted & mode.cap_bit() == 0 {
             return Err(HandshakeError::Mode {
@@ -784,12 +791,7 @@ impl ConsumerBuilder {
             log_available: welcome.log.is_some(),
             ..self.cfg
         };
-        let inner = TensorConsumer::connect_impl(&ctx, cfg)?;
-        Ok(Consumer {
-            inner,
-            welcome,
-            error_reported: false,
-        })
+        Consumer::connect(&ctx, cfg, welcome)
     }
 }
 
@@ -797,13 +799,7 @@ impl ConsumerBuilder {
 /// Stateless and retrying: the HELLO is re-sent every poll round, so a
 /// WELCOME published while this consumer's subscription was still
 /// propagating (remote transports) is simply answered again.
-fn handshake(
-    ctx: &TsContext,
-    endpoint: &str,
-    timeout: Duration,
-    version: u32,
-    caps: u32,
-) -> Result<WelcomeInfo> {
+fn handshake(ctx: &TsContext, endpoint: &str, timeout: Duration, caps: u32) -> Result<WelcomeInfo> {
     let map = EndpointMap::new(endpoint, 1);
     let token = rand_id();
     let sub = SubSocket::connect(&ctx.sockets, &map.data(0));
@@ -811,7 +807,7 @@ fn handshake(
     let push = PushSocket::connect(&ctx.sockets, &map.ctrl(0));
     let hello = CtrlMsg::Hello {
         token,
-        version,
+        version: HANDSHAKE_VERSION,
         caps,
     }
     .encode();
@@ -844,129 +840,9 @@ fn handshake(
     }
 }
 
-/// The consuming end of a TensorSocket, attached with nothing but an
-/// endpoint URI (see [`Consumer::builder`]).
-///
-/// Iterate it like a data loader. Unlike the legacy `TensorConsumer`,
-/// items are `Result`s: a clean end of stream (the producer published
-/// `End` on every shard) terminates iteration with `None`, while
-/// detachment, timeouts and protocol violations surface **once** as an
-/// `Err` item before the stream ends — no sentinel-checking after the
-/// loop. Dropping the consumer detaches it cleanly (acks the batch in
-/// flight, notifies every shard, stops the heartbeat).
-pub struct Consumer {
-    inner: TensorConsumer,
-    welcome: WelcomeInfo,
-    error_reported: bool,
-}
-
-impl std::fmt::Debug for Consumer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Consumer")
-            .field("id", &self.inner.id())
-            .field("shards", &self.inner.num_shards())
-            .field("stop_reason", &self.inner.stop_reason())
-            .finish()
-    }
-}
-
 impl Consumer {
     /// Starts building a consumer.
     pub fn builder() -> ConsumerBuilder {
         ConsumerBuilder::new()
-    }
-
-    /// The consumer's id.
-    pub fn id(&self) -> u64 {
-        self.inner.id()
-    }
-
-    /// Epoch this consumer was admitted into.
-    pub fn joined_epoch(&self) -> u64 {
-        self.inner.joined_epoch()
-    }
-
-    /// Number of producer shards this consumer is subscribed to (learned
-    /// from the handshake).
-    pub fn num_shards(&self) -> usize {
-        self.inner.num_shards()
-    }
-
-    /// The producer's WELCOME self-description this consumer attached
-    /// against.
-    pub fn welcome(&self) -> &WelcomeInfo {
-        &self.welcome
-    }
-
-    /// The payload mode negotiated at attach: shm pointer-passing, or
-    /// length-prefixed byte streaming for consumers that could not map
-    /// the producer's arena (or forced the mode).
-    pub fn payload_mode(&self) -> PayloadMode {
-        self.inner.payload_mode()
-    }
-
-    /// The producer's advertised staging mode, when it is one this
-    /// consumer knows.
-    pub fn staging_mode(&self) -> Option<StagingMode> {
-        StagingMode::from_wire_code(self.welcome.staging)
-    }
-
-    /// Why iteration stopped, once it has.
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.inner.stop_reason()
-    }
-
-    /// Batches consumed so far.
-    pub fn batches_consumed(&self) -> u64 {
-        self.inner.batches_consumed()
-    }
-
-    /// Samples consumed so far.
-    pub fn samples_consumed(&self) -> u64 {
-        self.inner.samples_consumed()
-    }
-
-    /// Batch pointers currently buffered locally (§3.2.5).
-    pub fn buffered(&self) -> usize {
-        self.inner.buffered()
-    }
-
-    /// The latest `(epoch, seq, index_in_epoch)` the producer announced
-    /// on the coalescing cursor channel for `shard`, if any flush has
-    /// arrived. Latest-wins: this is where the producer *is*, not a log
-    /// of where it has been — stale positions are displaced, never
-    /// queued.
-    pub fn latest_cursor(&self, shard: usize) -> Option<(u64, u64, u64)> {
-        self.inner.latest_cursor(shard)
-    }
-}
-
-impl Iterator for Consumer {
-    type Item = Result<ConsumerBatch>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(batch) = self.inner.next() {
-            return Some(Ok(batch));
-        }
-        if self.error_reported {
-            return None;
-        }
-        match self.inner.stop_reason() {
-            None | Some(StopReason::End) => None,
-            Some(reason) => {
-                self.error_reported = true;
-                Some(Err(match reason {
-                    StopReason::Detached => TsError::Detached,
-                    StopReason::Timeout => TsError::Timeout("batch from producer"),
-                    StopReason::ProducerGone => TsError::Socket("producer disconnected".into()),
-                    StopReason::Protocol => self
-                        .inner
-                        .last_error()
-                        .cloned()
-                        .unwrap_or_else(|| TsError::Wire("protocol violation".into())),
-                    StopReason::End => unreachable!("handled above"),
-                }))
-            }
-        }
     }
 }

@@ -81,7 +81,7 @@ pub struct ProducerConfig {
     /// advertised at) the given base URI instead of the one derived from
     /// [`ProducerConfig::endpoint`] by scheme rules — the multi-host
     /// escape hatch, where each shard pipeline runs as its own process or
-    /// on its own host. Sorted by shard; advertised verbatim in the v2
+    /// on its own host. Sorted by shard; advertised verbatim in the
     /// WELCOME so consumers follow without out-of-band configuration.
     pub shard_endpoints: Vec<(u32, String)>,
     /// Stall-watchdog sensitivity: a batch stuck in one stage longer than
@@ -171,17 +171,16 @@ impl ProducerConfig {
     }
 }
 
-/// Consumer configuration.
+/// Consumer configuration: the [`crate::ConsumerBuilder`]'s knobs plus
+/// what the producer's WELCOME reported.
 #[derive(Debug, Clone)]
-pub struct ConsumerConfig {
+pub(crate) struct ConsumerConfig {
     /// Endpoint base name; must match the producer's (the *group* base
-    /// endpoint when consuming from a sharded producer group).
+    /// endpoint when consuming from a sharded producer).
     pub endpoint: String,
-    /// Number of producer shards to subscribe to (a
-    /// [`crate::ShardedProducerGroup`]'s shard count). The consumer joins
-    /// every shard and interleaves their streams deterministically by
-    /// `(epoch, shard, seq)`. The default `1` consumes a plain single
-    /// producer, byte-identically to the unsharded code path.
+    /// Number of producer shards to subscribe to, from the WELCOME. The
+    /// consumer joins every shard and interleaves their streams
+    /// deterministically by `(epoch, shard, seq)`.
     pub shards: usize,
     /// Desired batch size (flexible mode only; ignored in default mode).
     pub batch_size: Option<usize>,
@@ -200,25 +199,22 @@ pub struct ConsumerConfig {
     /// still see the original bytes.
     pub local_pipeline: Option<std::sync::Arc<ts_data::Pipeline>>,
     /// How batch payload bytes reach this consumer: shm pointer-passing
-    /// (the default) or length-prefixed byte streaming. Normally resolved
-    /// by [`crate::Consumer`]'s attach negotiation rather than set by
-    /// hand; the legacy connect path keeps the v1 behavior (`Shm`).
+    /// (the default) or length-prefixed byte streaming, resolved by the
+    /// attach negotiation.
     pub mode: PayloadMode,
     /// Sparse `(shard, base URI)` endpoint overrides, learned from the
-    /// producer's v2 WELCOME: shards listed here are attached at the given
+    /// producer's WELCOME: shards listed here are attached at the given
     /// URI instead of the one derived from the base endpoint.
     pub endpoint_overrides: Vec<(u32, String)>,
     /// Consumer-group name for durable-log replay. When set (and the
-    /// producer's v3 WELCOME advertises a log), connect sends
+    /// producer's WELCOME advertises a log), connect sends
     /// `CtrlMsg::Replay { group, from: Cursor }` per shard after
     /// admission: the producer registers the group's persisted cursor,
     /// streams retained records from its log and the consumer splices
     /// them bit-identically in front of the live stream. `None` keeps the
     /// log-less join behavior.
     pub group: Option<String>,
-    /// Whether the producer advertised a durable log in its WELCOME
-    /// (filled by [`crate::Consumer`]'s attach negotiation; the legacy
-    /// connect path leaves it `false` and never requests replay).
+    /// Whether the producer advertised a durable log in its WELCOME.
     pub log_available: bool,
 }
 
@@ -253,18 +249,7 @@ impl ConsumerConfig {
         )
     }
 
-    /// The data (PUB/SUB) endpoint name.
-    pub fn data_endpoint(&self) -> String {
-        self.endpoints().data(0)
-    }
-
-    /// The control (PUSH/PULL) endpoint name.
-    pub fn ctrl_endpoint(&self) -> String {
-        self.endpoints().ctrl(0)
-    }
-
-    /// Shard `shard`'s data endpoint (shard 0 is the base endpoint, so a
-    /// one-shard config degenerates to [`ConsumerConfig::data_endpoint`]).
+    /// Shard `shard`'s data endpoint (shard 0 is the base endpoint).
     pub fn shard_data_endpoint(&self, shard: usize) -> String {
         self.endpoints().data(shard)
     }
@@ -287,7 +272,7 @@ mod tests {
         assert_eq!(p.data_endpoint(), "inproc://tensorsocket/data");
         assert_eq!(p.ctrl_endpoint(), "inproc://tensorsocket/ctrl");
         let c = ConsumerConfig::default();
-        assert_eq!(c.data_endpoint(), p.data_endpoint());
+        assert_eq!(c.shard_data_endpoint(0), p.data_endpoint());
         assert!(c.heartbeat_interval < p.heartbeat_timeout);
     }
 
@@ -320,8 +305,8 @@ mod tests {
     fn shard_zero_endpoints_match_unsharded() {
         let c = ConsumerConfig::default();
         assert_eq!(c.shards, 1);
-        assert_eq!(c.shard_data_endpoint(0), c.data_endpoint());
-        assert_eq!(c.shard_ctrl_endpoint(0), c.ctrl_endpoint());
+        assert_eq!(c.shard_data_endpoint(0), "inproc://tensorsocket/data");
+        assert_eq!(c.shard_ctrl_endpoint(0), "inproc://tensorsocket/ctrl");
         assert_eq!(c.shard_data_endpoint(1), "inproc://tensorsocket/s1/data");
         let tcp = ConsumerConfig {
             endpoint: "tcp://127.0.0.1:7000".into(),

@@ -1,17 +1,18 @@
-//! The [`TensorConsumer`]: the lightweight iterator a training script swaps
-//! in for its data loader (§3.2.2, Figure 3c).
+//! The [`Consumer`]: the lightweight iterator a training script swaps in
+//! for its data loader (§3.2.2, Figure 3c).
 //!
-//! `connect` performs the join handshake (rubberband admission or
+//! Attaching (after the [`crate::ConsumerBuilder`]'s HELLO/WELCOME
+//! handshake) performs the join handshake (rubberband admission or
 //! wait-for-epoch), spawns a heartbeat thread, and subscribes to the data
 //! stream. Iteration yields [`ConsumerBatch`]es rebuilt zero-copy from
 //! payloads; finishing a batch (calling `next` again, or dropping the
 //! consumer) acknowledges it to the producer, which releases the memory
 //! once every consumer has done so.
 //!
-//! ## Sharded producer groups and the `(epoch, shard, seq)` contract
+//! ## Sharded producers and the `(epoch, shard, seq)` contract
 //!
-//! With [`ConsumerConfig::shards`] `> 1` the consumer joins every shard of
-//! a [`crate::ShardedProducerGroup`] and merges their streams through a
+//! Against a sharded [`crate::Producer`] the consumer joins every shard
+//! (the WELCOME reports the count) and merges their streams through a
 //! [`ShardInterleave`]: announcements are delivered sorted by
 //! `(epoch, index_in_epoch, shard)` — round-robin across shards aligned
 //! at an epoch boundary, with exhausted shards dropping out of the
@@ -26,11 +27,13 @@
 //! every shard published `End`.
 
 use crate::protocol::messages::{
-    topics, AnnounceContent, BatchAnnounce, CtrlMsg, DataMsg, JoinDecision, PayloadMode, ReplayFrom,
+    topics, AnnounceContent, BatchAnnounce, CtrlMsg, DataMsg, JoinDecision, PayloadMode,
+    ReplayFrom, WelcomeInfo,
 };
 use crate::protocol::order::ShardInterleave;
 use crate::runtime::config::ConsumerConfig;
 use crate::runtime::context::TsContext;
+use crate::runtime::staging::StagingMode;
 use crate::{Result, TsError};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,14 +101,22 @@ struct ShardLink {
     reorder: BTreeMap<u64, BatchAnnounce>,
 }
 
-/// The consuming end of a TensorSocket.
+/// The consuming end of a TensorSocket, attached with nothing but an
+/// endpoint URI (see [`Consumer::builder`]).
 ///
-/// Iterate it like a data loader; it ends when the producer publishes
-/// `End` (every shard of a sharded group). Check
-/// [`TensorConsumer::stop_reason`] to distinguish clean completion from
-/// detachment or timeouts.
-pub struct TensorConsumer {
+/// Iterate it like a data loader. Items are `Result`s: a clean end of
+/// stream (the producer published `End` on every shard) terminates
+/// iteration with `None`, while detachment, timeouts and protocol
+/// violations surface **once** as an `Err` item before the stream ends —
+/// no sentinel-checking after the loop. Dropping the consumer detaches it
+/// cleanly (acks the batch in flight, notifies every shard, stops the
+/// heartbeat).
+pub struct Consumer {
     ctx: TsContext,
+    /// The producer's self-description this consumer attached against.
+    welcome: WelcomeInfo,
+    /// Set once the stop's `Err` item has been yielded.
+    error_reported: bool,
     cfg: ConsumerConfig,
     id: u64,
     links: Vec<ShardLink>,
@@ -129,7 +140,7 @@ pub struct TensorConsumer {
     batches_consumed: u64,
     samples_consumed: u64,
     /// Pre-resolved `consumer.wait_ns` histogram: time spent inside
-    /// [`TensorConsumer::pump`] until a batch was available (how starved
+    /// [`Consumer::pump`] until a batch was available (how starved
     /// the training loop is by the pipeline).
     wait_hist: std::sync::Arc<ts_metrics::Histogram>,
     /// Pre-resolved `consumer.interarrival_ns` histogram: time between
@@ -162,38 +173,28 @@ pub struct TensorConsumer {
     last_yield: Option<Instant>,
 }
 
-impl std::fmt::Debug for TensorConsumer {
+impl std::fmt::Debug for Consumer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TensorConsumer")
+        f.debug_struct("Consumer")
             .field("id", &self.id)
             .field("shards", &self.links.len())
-            .field("stopped", &self.stopped)
+            .field("stop_reason", &self.stopped)
             .finish()
     }
 }
 
-impl TensorConsumer {
-    /// Connects to a producer (or every shard of a sharded producer
-    /// group, per [`ConsumerConfig::shards`]) and completes the join
-    /// handshake with each.
+impl Consumer {
+    /// Joins every shard `cfg` (filled from the producer's `welcome`)
+    /// names and completes the join handshake with each.
     ///
     /// Blocks until admitted everywhere — which may span an epoch boundary
     /// when the join arrives too late for rubberbanding — or until
     /// `recv_timeout` passes without any producer activity.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tensorsocket::Consumer::builder().connect(endpoint)` — the attach \
-                handshake learns shard count, arena and schema from the producer, so \
-                only the endpoint is needed"
-    )]
-    pub fn connect(ctx: &TsContext, cfg: ConsumerConfig) -> Result<TensorConsumer> {
-        Self::connect_impl(ctx, cfg)
-    }
-
-    /// The non-deprecated connect path shared by the legacy shim and the
-    /// [`crate::Consumer`] builder (which fills `cfg` from the producer's
-    /// WELCOME instead of asking the caller).
-    pub(crate) fn connect_impl(ctx: &TsContext, cfg: ConsumerConfig) -> Result<TensorConsumer> {
+    pub(crate) fn connect(
+        ctx: &TsContext,
+        cfg: ConsumerConfig,
+        welcome: WelcomeInfo,
+    ) -> Result<Consumer> {
         let shards = cfg.shards.max(1);
         let id = cfg.consumer_id.unwrap_or_else(rand_id);
         let mut links = Vec::with_capacity(shards);
@@ -254,8 +255,10 @@ impl TensorConsumer {
                 }
             }
         }
-        Ok(TensorConsumer {
+        Ok(Consumer {
             ctx: ctx.clone(),
+            welcome,
+            error_reported: false,
             cfg,
             id,
             links,
@@ -399,9 +402,9 @@ impl TensorConsumer {
     /// can overtake the answer (the producer streams them right after
     /// it): they are stashed in the shard's reorder buffer, where normal
     /// pumping picks them up once `next_expected` rewinds to the replay
-    /// start. A producer that never answers within `recv_timeout` (an
-    /// older build behind a proxy advertising v3, or a log that failed
-    /// after WELCOME) degrades to live-only attach, not an error.
+    /// start. A producer that never answers within `recv_timeout` (a log
+    /// that failed after WELCOME) degrades to live-only attach, not an
+    /// error.
     fn log_replay_handshake(
         link: &mut ShardLink,
         cfg: &ConsumerConfig,
@@ -482,24 +485,34 @@ impl TensorConsumer {
         self.joined_epoch
     }
 
-    /// Number of producer shards this consumer is subscribed to.
+    /// Number of producer shards this consumer is subscribed to (learned
+    /// from the handshake).
     pub fn num_shards(&self) -> usize {
         self.links.len()
     }
 
-    /// The payload mode this consumer attached with.
+    /// The producer's WELCOME self-description this consumer attached
+    /// against.
+    pub fn welcome(&self) -> &WelcomeInfo {
+        &self.welcome
+    }
+
+    /// The payload mode negotiated at attach: shm pointer-passing, or
+    /// length-prefixed byte streaming for consumers that could not map
+    /// the producer's arena (or forced the mode).
     pub fn payload_mode(&self) -> PayloadMode {
         self.cfg.mode
+    }
+
+    /// The producer's advertised staging mode, when it is one this
+    /// consumer knows.
+    pub fn staging_mode(&self) -> Option<StagingMode> {
+        StagingMode::from_wire_code(self.welcome.staging)
     }
 
     /// Why iteration stopped, once it has.
     pub fn stop_reason(&self) -> Option<StopReason> {
         self.stopped
-    }
-
-    /// The error behind a [`StopReason::Protocol`] stop, if any.
-    pub fn last_error(&self) -> Option<&TsError> {
-        self.last_error.as_ref()
     }
 
     /// Batches consumed so far.
@@ -831,10 +844,34 @@ impl TensorConsumer {
     }
 }
 
-impl Iterator for TensorConsumer {
-    type Item = ConsumerBatch;
+impl Iterator for Consumer {
+    type Item = Result<ConsumerBatch>;
 
-    fn next(&mut self) -> Option<ConsumerBatch> {
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some(batch) = self.next_batch() {
+            return Some(Ok(batch));
+        }
+        if self.error_reported {
+            return None;
+        }
+        let err = match self.stopped? {
+            StopReason::End => return None,
+            StopReason::Detached => TsError::Detached,
+            StopReason::Timeout => TsError::Timeout("batch from producer"),
+            StopReason::ProducerGone => TsError::Socket("producer disconnected".into()),
+            StopReason::Protocol => self
+                .last_error
+                .take()
+                .unwrap_or_else(|| TsError::Wire("protocol violation".into())),
+        };
+        self.error_reported = true;
+        Some(Err(err))
+    }
+}
+
+impl Consumer {
+    /// The next batch, or `None` once iteration stopped.
+    fn next_batch(&mut self) -> Option<ConsumerBatch> {
         // Finishing the previous batch: acknowledge it (§3.2.3 — "once a
         // consumer has finished a batch and moves on to the next, it will
         // notify the producer").
@@ -873,7 +910,7 @@ impl Iterator for TensorConsumer {
     }
 }
 
-impl Drop for TensorConsumer {
+impl Drop for Consumer {
     fn drop(&mut self) {
         self.send_pending_ack();
         for link in &self.links {

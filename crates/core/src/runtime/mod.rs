@@ -9,9 +9,10 @@ pub mod producer;
 pub mod scrape;
 pub mod staging;
 
-pub use builder::{Consumer, ConsumerBuilder, Producer, ProducerBuilder};
-pub use config::{ConsumerConfig, FlexibleConfig, ProducerConfig};
-pub use coordinator::{EpochCoordinator, GroupJoin, ShardedProducerGroup};
+pub use builder::{ConsumerBuilder, Producer, ProducerBuilder};
+pub use config::{FlexibleConfig, ProducerConfig};
+pub use consumer::Consumer;
+pub use coordinator::{EpochCoordinator, GroupJoin};
 pub use scrape::{scrape_stats, scrape_trace};
 pub use staging::{StagingConfig, StagingMode};
 

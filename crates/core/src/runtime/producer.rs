@@ -1,5 +1,6 @@
-//! The [`TensorProducer`]: a server owning the data-loading pipeline and
-//! multicasting batch payloads to consumers (§3.2.1).
+//! One producer pipeline: a server owning the data-loading pipeline and
+//! multicasting batch payloads to consumers (§3.2.1). A
+//! [`crate::Producer`] runs one of these per shard.
 //!
 //! The producer is a two-stage pipeline:
 //!
@@ -584,7 +585,7 @@ fn feeder_main(
     }
 }
 
-/// Counters reported by [`TensorProducer::join`].
+/// Counters reported by [`crate::Producer::join`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProducerStats {
     /// Epochs fully published.
@@ -604,12 +605,13 @@ pub struct ProducerStats {
     pub joins_rejected: u64,
 }
 
-/// Handle to a running producer.
+/// Handle to one running producer pipeline (one shard of a
+/// [`crate::Producer`]).
 ///
 /// Mirrors the paper's `producer.join()` clean-up call (Figure 3b): the
 /// producer thread runs every epoch, then waits for outstanding acks and
 /// publishes `End`.
-pub struct TensorProducer {
+pub(crate) struct TensorProducer {
     handle: Option<std::thread::JoinHandle<ProducerStats>>,
     stop: Arc<AtomicBool>,
 }
@@ -623,44 +625,10 @@ impl std::fmt::Debug for TensorProducer {
 }
 
 impl TensorProducer {
-    /// Spawns the producer thread over `source`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `tensorsocket::Producer::builder()…spawn(source)` — one facade for \
-                plain and sharded producers, with arena/pool/staging auto-sizing"
-    )]
-    pub fn spawn(
-        source: impl EpochSource,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-    ) -> Result<TensorProducer> {
-        Self::spawn_impl(source, ctx, cfg)
-    }
-
-    /// The non-deprecated spawn path shared by the legacy shim and the
-    /// [`crate::Producer`] builder.
-    pub(crate) fn spawn_impl(
-        source: impl EpochSource,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-    ) -> Result<TensorProducer> {
-        Self::spawn_inner(source, ctx, cfg, None, 0)
-    }
-
-    /// Spawns one shard of a coordinated group (see
-    /// [`crate::ShardedProducerGroup`]): epoch boundaries, join admission
-    /// and pin release go through the coordinator.
-    pub(crate) fn spawn_sharded(
-        source: impl EpochSource,
-        ctx: &TsContext,
-        cfg: ProducerConfig,
-        coordinator: Arc<EpochCoordinator>,
-        shard: u32,
-    ) -> Result<TensorProducer> {
-        Self::spawn_inner(source, ctx, cfg, Some(coordinator), shard)
-    }
-
-    fn spawn_inner(
+    /// Spawns the producer thread over `source`. With a coordinator the
+    /// pipeline is shard `shard` of a group: epoch boundaries, join
+    /// admission and pin release go through the coordinator.
+    pub(crate) fn spawn(
         source: impl EpochSource,
         ctx: &TsContext,
         cfg: ProducerConfig,
@@ -833,7 +801,7 @@ impl TensorProducer {
     }
 
     /// Requests the producer to stop after the batch in flight.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
 
@@ -844,7 +812,7 @@ impl TensorProducer {
     /// (with `epochs_completed` short of the configured count), and the
     /// producer skips the outstanding-ack drain so the join returns
     /// promptly. `Err` is reserved for a panicked producer thread.
-    pub fn join(mut self) -> Result<ProducerStats> {
+    pub(crate) fn join(mut self) -> Result<ProducerStats> {
         let handle = self.handle.take().expect("join called once");
         handle
             .join()
@@ -892,8 +860,8 @@ struct LiveBatch {
 struct ProducerLoop {
     ctx: TsContext,
     cfg: ProducerConfig,
-    /// Group coordinator when this loop is one shard of a
-    /// [`crate::ShardedProducerGroup`].
+    /// Group coordinator when this loop is one shard of a sharded
+    /// [`crate::Producer`].
     coord: Option<Arc<EpochCoordinator>>,
     /// Shard index within the group (0 when uncoordinated).
     shard: u32,
@@ -1048,6 +1016,14 @@ impl ProducerLoop {
             .registry
             .lease_pool(self.coord.as_ref().map(|_| self.shard));
         let (workers, prefetch) = source.pipeline_hint();
+        // Two epoch drivers, picked from the source's own hint. Routing
+        // `num_workers == 0` through the feeder too was measured on the
+        // `fanout-shm-ipc` benchmark (a pre-built `VecSource`, inline
+        // here; 6 alternating 15 s pairs on a 2-vCPU host, arena sizing
+        // matched): peak RSS rose 63.9 -> 71.6 MiB (+12%) and CPU per
+        // batch 187 -> 200 us, while arena bytes only grew 8.25 -> 9.0 MiB
+        // and publish copies stayed 0. Sources without loader threads are
+        // cheaper inline, so both drivers stay.
         if workers == 0 {
             self.epochs_inline(source, lease, &policy);
         } else {
@@ -2019,8 +1995,8 @@ impl ProducerLoop {
         // monitor, where it would register a phantom consumer.
         if let CtrlMsg::Hello {
             token,
-            version,
             caps: hello_caps,
+            ..
         } = ctrl
         {
             // Capability bits we do not know yet are ignored (the peer
@@ -2033,19 +2009,11 @@ impl ProducerLoop {
                     .inc();
             }
             if let Some(mut info) = self.welcome.clone() {
-                // An older caller cannot decode the newer trailing
-                // sections: answer in its own dialect (the encoder drops
-                // the trailing bytes beyond the encoded version, producing
-                // the exact older frame).
-                if version < HANDSHAKE_VERSION {
-                    info.version = version.clamp(1, HANDSHAKE_VERSION);
-                }
+                // Answer in our own version whatever the caller speaks:
+                // the consumer refuses a mismatch with a typed error.
                 // Stamp the durable-log ad per HELLO — the retained range
-                // moves with appends and retention. Encoded only into v3+
-                // frames.
-                if info.version >= 3 {
-                    info.log = self.log_ad();
-                }
+                // moves with appends and retention.
+                info.log = self.log_ad();
                 let reply = DataMsg::Welcome { token, info };
                 let _ = self
                     .publisher
@@ -2675,16 +2643,7 @@ impl ProducerLoop {
                     coord.applied(self.shard, id);
                 }
                 (GroupJoin::WaitNextEpoch, _) | (_, true) => {
-                    self.pending_join.push((id, batch_size, mode));
-                    let reply = DataMsg::JoinReply {
-                        consumer_id: id,
-                        decision: JoinDecision::WaitEpoch {
-                            epoch: self.epoch + 1,
-                        },
-                    };
-                    let _ = self
-                        .publisher
-                        .send(&topics::consumer(id), Multipart::single(reply.encode()));
+                    self.defer_join(id, batch_size, mode);
                 }
             }
             return;
@@ -2700,19 +2659,24 @@ impl ProducerLoop {
             JoinOutcome::AdmitReplay { .. } => {
                 self.admit(id, batch_size, mode, self.published_in_epoch > 0);
             }
-            JoinOutcome::WaitNextEpoch => {
-                self.pending_join.push((id, batch_size, mode));
-                let reply = DataMsg::JoinReply {
-                    consumer_id: id,
-                    decision: JoinDecision::WaitEpoch {
-                        epoch: self.epoch + 1,
-                    },
-                };
-                let _ = self
-                    .publisher
-                    .send(&topics::consumer(id), Multipart::single(reply.encode()));
-            }
+            JoinOutcome::WaitNextEpoch => self.defer_join(id, batch_size, mode),
         }
+    }
+
+    /// Parks a join until the next epoch boundary (`begin_epoch` admits
+    /// it) and tells the consumer so.
+    fn defer_join(&mut self, id: u64, batch_size: u32, mode: PayloadMode) {
+        self.pending_join.push((id, batch_size, mode));
+        self.ctx.metrics.counter("producer.joins_deferred").inc();
+        let reply = DataMsg::JoinReply {
+            consumer_id: id,
+            decision: JoinDecision::WaitEpoch {
+                epoch: self.epoch + 1,
+            },
+        };
+        let _ = self
+            .publisher
+            .send(&topics::consumer(id), Multipart::single(reply.encode()));
     }
 
     /// After the final epoch: wait (bounded) for outstanding acks so

@@ -77,13 +77,11 @@ where
                         payload,
                     }) = DataMsg::decode(frame)
                     {
-                        // `s == 0` is a v1 producer that cannot echo
-                        // stamps — its replies are all equally current,
-                        // so accept them rather than time out on an old
-                        // peer. Any other mismatch is a stale round's
-                        // late duplicate: drop it, count it.
-                        if t == token && (s == seq || s == 0) {
-                            return Ok(payload);
+                        // A stamp mismatch is a stale round's late
+                        // duplicate: drop it, count it.
+                        if t == token && s == seq {
+                            return check_version("stats", payload.version, STATS_VERSION)
+                                .map(|()| payload);
                         }
                         if t == token {
                             dup_counter.inc();
@@ -153,8 +151,9 @@ where
                         payload,
                     }) = DataMsg::decode(frame)
                     {
-                        if t == token && (s == seq || s == 0) {
-                            return Ok(payload);
+                        if t == token && s == seq {
+                            return check_version("trace", payload.version, TRACE_VERSION)
+                                .map(|()| payload);
                         }
                         if t == token {
                             dup_counter.inc();
@@ -172,5 +171,31 @@ where
         if Instant::now() > deadline {
             return Err(TsError::Timeout("trace snapshot"));
         }
+    }
+}
+
+/// Refuses a scrape reply whose version differs from this build's: the
+/// layout is single-version, so any other version cannot be read.
+fn check_version(what: &str, theirs: u32, ours: u32) -> Result<()> {
+    if theirs == ours {
+        Ok(())
+    } else {
+        Err(TsError::Wire(format!(
+            "{what} reply version {theirs}, this build reads {ours}"
+        )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replies_of_another_version_are_refused() {
+        assert!(check_version("stats", STATS_VERSION, STATS_VERSION).is_ok());
+        assert!(matches!(
+            check_version("stats", STATS_VERSION + 1, STATS_VERSION),
+            Err(TsError::Wire(_))
+        ));
     }
 }

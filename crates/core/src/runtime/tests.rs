@@ -1,19 +1,12 @@
 //! End-to-end tests of the threaded runtime: producer + consumers over real
 //! threads, real sockets, real payload sharing.
-//!
-//! Much of this suite deliberately exercises the deprecated
-//! `TensorProducer::spawn` / `TensorConsumer::connect` /
-//! `ShardedProducerGroup::spawn` shims — they must keep behaving exactly
-//! like the `Producer`/`Consumer` builders they delegate to (the
-//! `builder_*` tests assert byte-identity between the two surfaces).
-#![allow(deprecated)]
 
 use crate::protocol::order::OrderConfig;
-use crate::runtime::config::{ConsumerConfig, FlexibleConfig, ProducerConfig};
-use crate::runtime::consumer::{StopReason, TensorConsumer};
+use crate::runtime::builder::{ConsumerBuilder, Producer};
+use crate::runtime::config::{FlexibleConfig, ProducerConfig};
+use crate::runtime::consumer::{Consumer, ConsumerBatch, StopReason};
 use crate::runtime::context::TsContext;
-use crate::runtime::coordinator::ShardedProducerGroup;
-use crate::runtime::producer::TensorProducer;
+use crate::runtime::producer::EpochSource;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,13 +81,58 @@ fn producer_cfg(endpoint: &str, epochs: u64) -> ProducerConfig {
     }
 }
 
-fn consumer_cfg(endpoint: &str) -> ConsumerConfig {
-    ConsumerConfig {
-        endpoint: endpoint.to_string(),
-        heartbeat_interval: Duration::from_millis(50),
-        recv_timeout: Duration::from_secs(5),
-        ..Default::default()
+/// Spawns a one-source producer in `ctx`.
+fn spawn(
+    source: impl EpochSource,
+    ctx: &TsContext,
+    cfg: ProducerConfig,
+) -> crate::Result<Producer> {
+    Producer::builder().context(ctx).config(cfg).spawn(source)
+}
+
+/// Spawns one producer pipeline per source in `ctx`.
+fn spawn_sharded(
+    sources: Vec<DataLoader>,
+    ctx: &TsContext,
+    cfg: ProducerConfig,
+) -> crate::Result<Producer> {
+    Producer::builder()
+        .context(ctx)
+        .config(cfg)
+        .spawn_sharded(sources)
+}
+
+/// A consumer builder attaching from `ctx` with the suite's fast
+/// heartbeat and a 5 s receive timeout.
+fn consumer(ctx: &TsContext) -> ConsumerBuilder {
+    Consumer::builder()
+        .context(ctx)
+        .heartbeat_interval(Duration::from_millis(50))
+        .recv_timeout(Duration::from_secs(5))
+}
+
+/// Attaches a default suite consumer to `ep`.
+fn connect(ctx: &TsContext, ep: &str) -> Consumer {
+    consumer(ctx).connect(ep).unwrap()
+}
+
+/// Blocks until the producer in `ctx` has parked `n` joins for the next
+/// epoch boundary.
+fn await_deferred_joins(ctx: &TsContext, n: u64) {
+    let deferred = ctx.metrics.counter("producer.joins_deferred");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while deferred.get() < n {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "join never reached the producer"
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// The batches of a stream that must end cleanly.
+fn clean_batches(consumer: &mut Consumer) -> impl Iterator<Item = ConsumerBatch> + '_ {
+    consumer.by_ref().map(|b| b.expect("clean stream"))
 }
 
 /// A loader over `IndexDataset` with an explicit pipeline shape.
@@ -123,15 +161,15 @@ fn pipelined_producer_preserves_batch_order_across_worker_counts() {
     for workers in [0usize, 1, 4] {
         let ctx = TsContext::host_only();
         let ep = format!("inproc://order-w{workers}");
-        let producer = TensorProducer::spawn(
+        let producer = spawn(
             loader_with_workers(64, 4, workers),
             &ctx,
             producer_cfg(&ep, 2),
         )
         .unwrap();
-        let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(&ep)).unwrap();
+        let mut consumer = connect(&ctx, &ep);
         let mut stream = Vec::new();
-        for b in consumer.by_ref() {
+        for b in clean_batches(&mut consumer) {
             stream.push((
                 b.epoch,
                 b.index_in_epoch,
@@ -159,13 +197,10 @@ fn pipelined_flexible_mode_matches_serial_stream() {
         let ep = format!("inproc://order-flex-w{workers}");
         let mut cfg = producer_cfg(&ep, 1);
         cfg.flexible = Some(FlexibleConfig::new(16));
-        let producer =
-            TensorProducer::spawn(loader_with_workers(64, 8, workers), &ctx, cfg).unwrap();
-        let mut cc = consumer_cfg(&ep);
-        cc.batch_size = Some(4);
-        let mut consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+        let producer = spawn(loader_with_workers(64, 8, workers), &ctx, cfg).unwrap();
+        let mut consumer = consumer(&ctx).batch_size(4).connect(&ep).unwrap();
         let mut stream = Vec::new();
-        for b in consumer.by_ref() {
+        for b in clean_batches(&mut consumer) {
             stream.push((b.epoch, b.index_in_epoch, b.labels.to_vec_i64().unwrap()));
         }
         producer.join().unwrap();
@@ -191,11 +226,11 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
     let mut cfg = producer_cfg(ep, 2);
     // Small join window: pins (and their slots) return to the pool early.
     cfg.rubberband_cutoff = 0.02;
-    let producer = TensorProducer::spawn(loader_with_workers(64, 4, 2), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader_with_workers(64, 4, 2), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let mut consumed = 0u64;
     let mut warmed_misses = None;
-    for _ in consumer.by_ref() {
+    for _ in clean_batches(&mut consumer) {
         consumed += 1;
         if consumed == 8 {
             // Warmup over: window-depth many slots have cycled through.
@@ -245,11 +280,10 @@ fn staging_modes_deliver_byte_identical_streams() {
                 mode,
                 ..Default::default()
             };
-            let producer =
-                TensorProducer::spawn(loader_with_workers(48, 4, workers), &ctx, cfg).unwrap();
-            let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(&ep)).unwrap();
+            let producer = spawn(loader_with_workers(48, 4, workers), &ctx, cfg).unwrap();
+            let mut consumer = connect(&ctx, &ep);
             let mut stream = Vec::new();
-            for b in consumer.by_ref() {
+            for b in clean_batches(&mut consumer) {
                 assert_eq!(b.fields[0].device(), DeviceId::Gpu(0), "{tag}");
                 stream.push((
                     b.epoch,
@@ -294,12 +328,12 @@ fn steady_state_staging_performs_zero_device_allocations() {
     let ep = "inproc://stage-zero-alloc";
     let mut cfg = producer_cfg(ep, 2);
     cfg.device = DeviceId::Gpu(0);
-    let producer = TensorProducer::spawn(loader_with_workers(1024, 4, 2), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader_with_workers(1024, 4, 2), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let book = ctx.devices.memory(DeviceId::Gpu(0)).unwrap().clone();
     let mut consumed = 0u64;
     let mut warmed_allocs = None;
-    for _ in consumer.by_ref() {
+    for _ in clean_batches(&mut consumer) {
         consumed += 1;
         if consumed == 16 {
             warmed_allocs = Some(book.alloc_count());
@@ -333,12 +367,12 @@ fn steady_state_staging_performs_zero_device_allocations() {
 fn single_consumer_sees_all_batches_in_order() {
     let ctx = TsContext::host_only();
     let ep = "inproc://t1";
-    let producer = TensorProducer::spawn(loader(32, 4), &ctx, producer_cfg(ep, 2)).unwrap();
-    let consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(32, 4), &ctx, producer_cfg(ep, 2)).unwrap();
+    let consumer = connect(&ctx, ep);
     let mut labels_seen: Vec<i64> = Vec::new();
     let mut last_flags = 0;
     let mut consumer = consumer;
-    for batch in consumer.by_ref() {
+    for batch in clean_batches(&mut consumer) {
         assert_eq!(batch.batch_size(), 4);
         labels_seen.extend(batch.labels.to_vec_i64().unwrap());
         if batch.last_in_epoch {
@@ -364,13 +398,13 @@ fn two_consumers_share_storage_zero_copy() {
     // Keep the whole (tiny) epoch inside the join window so the second
     // consumer is admitted regardless of connect timing.
     cfg.rubberband_cutoff = 1.0;
-    let producer = TensorProducer::spawn(loader(16, 4), &ctx, cfg).unwrap();
-    let c1 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let c2 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(16, 4), &ctx, cfg).unwrap();
+    let c1 = connect(&ctx, ep);
+    let c2 = connect(&ctx, ep);
     let h1 = std::thread::spawn(move || {
         let mut ids = Vec::new();
         let mut c1 = c1;
-        for b in c1.by_ref() {
+        for b in clean_batches(&mut c1) {
             ids.push((b.seq, b.fields[0].storage_id()));
         }
         ids
@@ -378,7 +412,7 @@ fn two_consumers_share_storage_zero_copy() {
     let h2 = std::thread::spawn(move || {
         let mut ids = Vec::new();
         let mut c2 = c2;
-        for b in c2.by_ref() {
+        for b in clean_batches(&mut c2) {
             ids.push((b.seq, b.fields[0].storage_id()));
         }
         ids
@@ -395,8 +429,8 @@ fn two_consumers_share_storage_zero_copy() {
 fn memory_is_released_after_run() {
     let ctx = TsContext::host_only();
     let ep = "inproc://t3";
-    let producer = TensorProducer::spawn(loader(16, 4), &ctx, producer_cfg(ep, 1)).unwrap();
-    let consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(16, 4), &ctx, producer_cfg(ep, 1)).unwrap();
+    let consumer = connect(&ctx, ep);
     let n = consumer.count();
     assert_eq!(n, 4);
     producer.join().unwrap();
@@ -413,8 +447,8 @@ fn slow_consumer_bounds_producer_drift() {
     let ep = "inproc://t4";
     let mut cfg = producer_cfg(ep, 1);
     cfg.buffer_size = 2;
-    let producer = TensorProducer::spawn(loader(64, 4), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(64, 4), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let mut max_buffered = 0usize;
     while let Some(_b) = consumer.next() {
         // The local buffer (socket queue + decoded queue) can never exceed
@@ -435,14 +469,14 @@ fn gpu_staging_accounts_traffic_and_releases_vram() {
     let ep = "inproc://t5";
     let mut cfg = producer_cfg(ep, 1);
     cfg.device = DeviceId::Gpu(0);
-    let producer = TensorProducer::spawn(loader(16, 4), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let mut batches = 0;
-    for b in consumer.by_ref() {
+    let producer = spawn(loader(16, 4), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
+    let mut received = 0;
+    for b in clean_batches(&mut consumer) {
         assert_eq!(b.fields[0].device(), DeviceId::Gpu(0));
-        batches += 1;
+        received += 1;
     }
-    assert_eq!(batches, 4);
+    assert_eq!(received, 4);
     let stats = producer.join().unwrap();
     // fields: 4 samples × 2 f32 = 32 B; labels: 4 × 8 = 32 B; ×4 batches
     assert_eq!(stats.bytes_staged, 4 * 64);
@@ -466,20 +500,16 @@ fn flexible_batch_sizes_fig5() {
     cfg.rubberband_cutoff = 1.0;
     // 64 samples, loader batches of 8, producer batches of 16 → 4 producer
     // batches per epoch.
-    let producer = TensorProducer::spawn(loader(64, 8), &ctx, cfg).unwrap();
+    let producer = spawn(loader(64, 8), &ctx, cfg).unwrap();
 
     // Connect every consumer before any of them starts consuming, so the
     // tiny epoch cannot finish before the later joins arrive.
-    let connect = |bs: usize| {
-        let mut cfg = consumer_cfg(ep);
-        cfg.batch_size = Some(bs);
-        TensorConsumer::connect(&ctx, cfg).unwrap()
-    };
-    let spawn_consumer = |mut c: TensorConsumer| {
+    let connect = |bs: usize| consumer(&ctx).batch_size(bs).connect(ep).unwrap();
+    let spawn_consumer = |mut c: Consumer| {
         std::thread::spawn(move || {
             let mut per_pb: HashMap<u64, Vec<i64>> = HashMap::new();
             let mut sizes = Vec::new();
-            for b in c.by_ref() {
+            for b in clean_batches(&mut c) {
                 sizes.push(b.batch_size());
                 per_pb
                     .entry(b.index_in_epoch)
@@ -530,10 +560,8 @@ fn flexible_rejects_oversized_consumer_batch() {
     let mut cfg = producer_cfg(ep, 1);
     cfg.flexible = Some(FlexibleConfig::new(8));
     cfg.first_consumer_timeout = Some(Duration::from_millis(400));
-    let producer = TensorProducer::spawn(loader(16, 4), &ctx, cfg).unwrap();
-    let mut ccfg = consumer_cfg(ep);
-    ccfg.batch_size = Some(64);
-    let err = TensorConsumer::connect(&ctx, ccfg).unwrap_err();
+    let producer = spawn(loader(16, 4), &ctx, cfg).unwrap();
+    let err = consumer(&ctx).batch_size(64).connect(ep).unwrap_err();
     assert!(matches!(err, crate::TsError::Join(_)), "{err:?}");
     let stats = producer.join().unwrap();
     assert_eq!(stats.joins_rejected, 1);
@@ -553,20 +581,21 @@ fn order_variation_decorrelates_consumers() {
             seed: 7,
         },
     });
-    let producer = TensorProducer::spawn(loader(32, 8), &ctx, cfg).unwrap();
+    let producer = spawn(loader(32, 8), &ctx, cfg).unwrap();
     let connect = |id: u64| {
-        let mut cfg = consumer_cfg(ep);
-        cfg.batch_size = Some(4);
-        cfg.consumer_id = Some(id);
-        TensorConsumer::connect(&ctx, cfg).unwrap()
+        consumer(&ctx)
+            .batch_size(4)
+            .consumer_id(id)
+            .connect(ep)
+            .unwrap()
     };
-    let spawn_consumer = |mut c: TensorConsumer| {
+    let spawn_consumer = |mut c: Consumer| {
         std::thread::spawn(move || {
-            let mut batches: Vec<Vec<i64>> = Vec::new();
-            for b in c.by_ref() {
-                batches.push(b.labels.to_vec_i64().unwrap());
+            let mut labels: Vec<Vec<i64>> = Vec::new();
+            for b in clean_batches(&mut c) {
+                labels.push(b.labels.to_vec_i64().unwrap());
             }
-            batches
+            labels
         })
     };
     // connect both before either consumes (the epoch is tiny)
@@ -594,25 +623,25 @@ fn rubberband_admits_and_replays_early_joiner() {
     let mut cfg = producer_cfg(ep, 1);
     cfg.rubberband_cutoff = 0.25; // generous window: 4 of 16 batches
     cfg.buffer_size = 2;
-    let producer = TensorProducer::spawn(loader(64, 4), &ctx, cfg).unwrap();
+    let producer = spawn(loader(64, 4), &ctx, cfg).unwrap();
     // First consumer starts immediately and consumes slowly.
-    let mut c1 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let mut c1 = connect(&ctx, ep);
     let mut first_labels: Vec<i64> = Vec::new();
     for _ in 0..2 {
-        let b = c1.next().unwrap();
+        let b = c1.next().unwrap().unwrap();
         first_labels.extend(b.labels.to_vec_i64().unwrap());
     }
     // Late joiner inside the window: must see the epoch from the start.
-    let mut c2 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let mut c2 = connect(&ctx, ep);
     let h1 = std::thread::spawn(move || {
         let mut labels = first_labels;
-        for b in c1.by_ref() {
+        for b in clean_batches(&mut c1) {
             labels.extend(b.labels.to_vec_i64().unwrap());
         }
         labels
     });
     let mut labels2: Vec<i64> = Vec::new();
-    for b in c2.by_ref() {
+    for b in clean_batches(&mut c2) {
         labels2.extend(b.labels.to_vec_i64().unwrap());
     }
     let labels1 = h1.join().unwrap();
@@ -629,12 +658,12 @@ fn late_joiner_waits_for_next_epoch() {
     let ep = "inproc://t10";
     let mut cfg = producer_cfg(ep, 2);
     cfg.rubberband_cutoff = 0.02; // 16 batches/epoch → window of 1 batch
-    let producer = TensorProducer::spawn(loader(64, 4), &ctx, cfg).unwrap();
-    let mut c1 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(64, 4), &ctx, cfg).unwrap();
+    let mut c1 = connect(&ctx, ep);
     // Drive well past the join window.
     let mut consumed = 0;
     let mut first_epochs: Vec<u64> = Vec::new();
-    for b in c1.by_ref() {
+    for b in clean_batches(&mut c1) {
         consumed += 1;
         first_epochs.push(b.epoch);
         if consumed == 6 {
@@ -645,19 +674,23 @@ fn late_joiner_waits_for_next_epoch() {
         let ctx = ctx.clone();
         let ep = ep.to_string();
         std::thread::spawn(move || {
-            let mut c2 = TensorConsumer::connect(&ctx, consumer_cfg(&ep)).unwrap();
+            let mut c2 = connect(&ctx, &ep);
             let joined = c2.joined_epoch();
             let mut labels = Vec::new();
             let mut epochs = BTreeSet::new();
-            for b in c2.by_ref() {
+            for b in clean_batches(&mut c2) {
                 epochs.insert(b.epoch);
                 labels.extend(b.labels.to_vec_i64().unwrap());
             }
             (joined, labels, epochs)
         })
     };
+    // Hold c1 (and with it the producer, inside epoch 0) until the late
+    // JOIN is parked for the next epoch: otherwise c1 could drain both
+    // epochs before c2's attach reaches the producer.
+    await_deferred_joins(&ctx, 1);
     // keep consuming to let epoch 0 finish
-    for _ in c1.by_ref() {}
+    for _ in clean_batches(&mut c1) {}
     drop(c1);
     let (joined, labels2, epochs2) = h2.join().unwrap();
     producer.join().unwrap();
@@ -673,8 +706,8 @@ fn dead_consumer_is_detached_and_others_continue() {
     let mut cfg = producer_cfg(ep, 1);
     cfg.heartbeat_timeout = Duration::from_millis(150);
     cfg.rubberband_cutoff = 1.0; // admit the hand-rolled consumer whenever it joins
-    let producer = TensorProducer::spawn(loader(64, 4), &ctx, cfg).unwrap();
-    let mut good = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(64, 4), &ctx, cfg).unwrap();
+    let mut good = connect(&ctx, ep);
     // A "dead" consumer: joins by hand, then never acks or heartbeats.
     {
         use crate::protocol::messages::{CtrlMsg, PayloadMode};
@@ -700,7 +733,7 @@ fn dead_consumer_is_detached_and_others_continue() {
         // sockets drop here — consumer 999 is gone without a Leave
     }
     let mut n = 0;
-    for _ in good.by_ref() {
+    for _ in clean_batches(&mut good) {
         n += 1;
     }
     assert_eq!(n, 16, "surviving consumer finished the epoch");
@@ -715,7 +748,7 @@ fn producer_without_consumers_times_out() {
     let ep = "inproc://t12";
     let mut cfg = producer_cfg(ep, 1);
     cfg.first_consumer_timeout = Some(Duration::from_millis(100));
-    let producer = TensorProducer::spawn(loader(16, 4), &ctx, cfg).unwrap();
+    let producer = spawn(loader(16, 4), &ctx, cfg).unwrap();
     let stats = producer.join().unwrap();
     assert_eq!(stats.epochs_completed, 0);
     assert_eq!(stats.batches_published, 0);
@@ -724,9 +757,10 @@ fn producer_without_consumers_times_out() {
 #[test]
 fn consumer_connect_times_out_without_producer() {
     let ctx = TsContext::host_only();
-    let mut cfg = consumer_cfg("inproc://t13");
-    cfg.recv_timeout = Duration::from_millis(100);
-    let err = TensorConsumer::connect(&ctx, cfg).unwrap_err();
+    let err = consumer(&ctx)
+        .handshake_timeout(Duration::from_millis(100))
+        .connect("inproc://t13")
+        .unwrap_err();
     assert!(matches!(err, crate::TsError::Timeout(_)));
 }
 
@@ -738,14 +772,14 @@ fn consumer_drop_mid_epoch_lets_producer_finish() {
     // Tiny test epochs (16 batches) make the default 2% join window a
     // single batch; widen it so the second consumer joins epoch 0.
     cfg.rubberband_cutoff = 0.5;
-    let producer = TensorProducer::spawn(loader(64, 4), &ctx, cfg).unwrap();
-    let mut c1 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let mut c2 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let _ = c1.next().unwrap();
-    let _ = c1.next().unwrap();
+    let producer = spawn(loader(64, 4), &ctx, cfg).unwrap();
+    let mut c1 = connect(&ctx, ep);
+    let mut c2 = connect(&ctx, ep);
+    let _ = c1.next().unwrap().unwrap();
+    let _ = c1.next().unwrap().unwrap();
     drop(c1); // clean leave
     let mut n = 2; // c1 consumed 2
-    for _ in c2.by_ref() {
+    for _ in clean_batches(&mut c2) {
         n += 1;
     }
     assert_eq!(n - 2, 16, "c2 saw the whole epoch");
@@ -775,20 +809,16 @@ fn local_pipeline_transforms_privately() {
     );
     let mut cfg = producer_cfg(ep, 1);
     cfg.rubberband_cutoff = 1.0;
-    let producer = TensorProducer::spawn(image_loader, &ctx, cfg).unwrap();
+    let producer = spawn(image_loader, &ctx, cfg).unwrap();
 
-    let cropped = {
-        let ctx = ctx.clone();
-        let mut cc = consumer_cfg(ep);
-        cc.local_pipeline = Some(Arc::new(
-            Pipeline::new(7).with(RandomCrop { out_h: 8, out_w: 8 }),
-        ));
+    // Attach both before either consumes: the epoch is only 4 batches.
+    let pipeline = Arc::new(Pipeline::new(7).with(RandomCrop { out_h: 8, out_w: 8 }));
+    let observe = |mut c: Consumer| {
         std::thread::spawn(move || {
-            let mut c = TensorConsumer::connect(&ctx, cc).unwrap();
             let mut shapes = Vec::new();
             let mut storages = Vec::new();
             let mut labels = Vec::new();
-            for b in c.by_ref() {
+            for b in clean_batches(&mut c) {
                 shapes.push(b.fields[0].shape().to_vec());
                 storages.push(b.fields[0].storage_id());
                 labels.extend(b.labels.to_vec_i64().unwrap());
@@ -796,22 +826,9 @@ fn local_pipeline_transforms_privately() {
             (shapes, storages, labels)
         })
     };
-    let raw = {
-        let ctx = ctx.clone();
-        let cc = consumer_cfg(ep);
-        std::thread::spawn(move || {
-            let mut c = TensorConsumer::connect(&ctx, cc).unwrap();
-            let mut shapes = Vec::new();
-            let mut storages = Vec::new();
-            let mut labels = Vec::new();
-            for b in c.by_ref() {
-                shapes.push(b.fields[0].shape().to_vec());
-                storages.push(b.fields[0].storage_id());
-                labels.extend(b.labels.to_vec_i64().unwrap());
-            }
-            (shapes, storages, labels)
-        })
-    };
+    let cropped = consumer(&ctx).local_pipeline(pipeline).connect(ep).unwrap();
+    let raw = connect(&ctx, ep);
+    let (cropped, raw) = (observe(cropped), observe(raw));
     let (crop_shapes, crop_storages, crop_labels) = cropped.join().unwrap();
     let (raw_shapes, raw_storages, raw_labels) = raw.join().unwrap();
     producer.join().unwrap();
@@ -847,10 +864,10 @@ fn vec_source_round_trips_custom_batches() {
         })
         .collect();
     let source = VecSource::new(batches).unwrap();
-    let producer = TensorProducer::spawn(source, &ctx, producer_cfg(ep, 2)).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(source, &ctx, producer_cfg(ep, 2)).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let mut per_epoch = vec![0u32; 2];
-    for b in consumer.by_ref() {
+    for b in clean_batches(&mut consumer) {
         per_epoch[b.epoch as usize] += 1;
     }
     assert_eq!(per_epoch, vec![5, 5]);
@@ -878,15 +895,15 @@ fn vec_source_rejects_ragged_batches() {
 fn aborted_producer_ends_consumers_cleanly() {
     let ctx = TsContext::host_only();
     let ep = "inproc://t17";
-    let producer = TensorProducer::spawn(loader(4096, 4), &ctx, producer_cfg(ep, 8)).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(4096, 4), &ctx, producer_cfg(ep, 8)).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let mut seen = 0u64;
-    for _ in consumer.by_ref().take(3) {
+    for _ in clean_batches(&mut consumer).take(3) {
         seen += 1;
     }
     producer.abort();
     // drain whatever is still in flight; must terminate with End, not hang
-    for _ in consumer.by_ref() {
+    for _ in clean_batches(&mut consumer) {
         seen += 1;
     }
     assert_eq!(consumer.stop_reason(), Some(StopReason::End));
@@ -903,12 +920,10 @@ fn flexible_mode_covers_multiple_epochs() {
     let mut cfg = producer_cfg(ep, 2);
     cfg.flexible = Some(FlexibleConfig::new(8));
     cfg.rubberband_cutoff = 1.0;
-    let producer = TensorProducer::spawn(loader(32, 4), &ctx, cfg).unwrap();
-    let mut cc = consumer_cfg(ep);
-    cc.batch_size = Some(5);
-    let mut consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+    let producer = spawn(loader(32, 4), &ctx, cfg).unwrap();
+    let mut consumer = consumer(&ctx).batch_size(5).connect(ep).unwrap();
     let mut per_epoch: HashMap<u64, BTreeSet<i64>> = HashMap::new();
-    for b in consumer.by_ref() {
+    for b in clean_batches(&mut consumer) {
         assert_eq!(b.batch_size(), 5);
         per_epoch
             .entry(b.epoch)
@@ -923,63 +938,16 @@ fn flexible_mode_covers_multiple_epochs() {
 }
 
 #[test]
-fn consumer_times_out_when_admitted_but_starved() {
-    use crate::protocol::messages::{topics, CtrlMsg, DataMsg, JoinDecision};
-    use ts_socket::{Multipart, PubSocket, PullSocket};
-
-    let ctx = TsContext::host_only();
-    let ep = "inproc://t19";
-    // A fake producer that admits and then goes silent.
-    let publisher = PubSocket::bind(&ctx.sockets, &format!("{ep}/data")).unwrap();
-    let ctrl = PullSocket::bind(&ctx.sockets, &format!("{ep}/ctrl")).unwrap();
-    let fake = std::thread::spawn(move || {
-        loop {
-            let Ok(msg) = ctrl.recv_timeout(Duration::from_secs(2)) else {
-                return;
-            };
-            let Ok(m) = CtrlMsg::decode(&msg.frames()[0]) else {
-                continue;
-            };
-            if let CtrlMsg::Join { consumer_id, .. } = m {
-                let reply = DataMsg::JoinReply {
-                    consumer_id,
-                    decision: JoinDecision::AdmitReplay {
-                        epoch: 0,
-                        replay_from: 0,
-                        num_batches: 100,
-                        start_seq: 0,
-                    },
-                };
-                publisher
-                    .send(
-                        &topics::consumer(consumer_id),
-                        Multipart::single(reply.encode()),
-                    )
-                    .unwrap();
-                // ...and never publish any batch
-            }
-        }
-    });
-    let mut cc = consumer_cfg(ep);
-    cc.recv_timeout = Duration::from_millis(200);
-    let mut consumer = TensorConsumer::connect(&ctx, cc).unwrap();
-    assert!(consumer.next().is_none());
-    assert_eq!(consumer.stop_reason(), Some(StopReason::Timeout));
-    drop(consumer);
-    fake.join().unwrap();
-}
-
-#[test]
 fn metrics_registry_tracks_producer_and_consumers() {
     let ctx = TsContext::host_only();
     let ep = "inproc://t20";
     let mut cfg = producer_cfg(ep, 1);
     cfg.rubberband_cutoff = 1.0;
-    let producer = TensorProducer::spawn(loader(32, 4), &ctx, cfg).unwrap();
-    let mut c1 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let mut c2 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let h = std::thread::spawn(move || c2.by_ref().count());
-    let n1 = c1.by_ref().count();
+    let producer = spawn(loader(32, 4), &ctx, cfg).unwrap();
+    let mut c1 = connect(&ctx, ep);
+    let mut c2 = connect(&ctx, ep);
+    let h = std::thread::spawn(move || clean_batches(&mut c2).count());
+    let n1 = clean_batches(&mut c1).count();
     let n2 = h.join().unwrap();
     drop(c1);
     let stats = producer.join().unwrap();
@@ -998,9 +966,9 @@ fn producer_crash_surfaces_as_producer_gone() {
     let ep = "inproc://t21";
     let mut cfg = producer_cfg(ep, 1);
     cfg.rubberband_cutoff = 1.0;
-    let producer = TensorProducer::spawn(loader(64, 4), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let _ = consumer.next().unwrap();
+    let producer = spawn(loader(64, 4), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
+    let _ = consumer.next().unwrap().unwrap();
     // Simulate a producer crash: drop the handle without clean shutdown.
     // Drop aborts + joins the thread, which still publishes End — so to
     // model a *hard* crash we instead look at what happens when the socket
@@ -1030,7 +998,11 @@ fn socket_teardown_mid_stream_is_producer_gone() {
             let Ok(msg) = ctrl.recv_timeout(Duration::from_secs(2)) else {
                 return;
             };
-            if let Ok(CtrlMsg::Join { consumer_id, .. }) = CtrlMsg::decode(&msg.frames()[0]) {
+            let m = CtrlMsg::decode(&msg.frames()[0]);
+            if let Ok(CtrlMsg::Hello { token, .. }) = m {
+                answer_hello(&publisher, token);
+            }
+            if let Ok(CtrlMsg::Join { consumer_id, .. }) = m {
                 let reply = DataMsg::JoinReply {
                     consumer_id,
                     decision: JoinDecision::AdmitReplay {
@@ -1058,10 +1030,15 @@ fn socket_teardown_mid_stream_is_producer_gone() {
             }
         }
     });
-    let mut cc = consumer_cfg(ep);
-    cc.recv_timeout = Duration::from_secs(2);
-    let mut consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+    let mut consumer = consumer(&ctx)
+        .recv_timeout(Duration::from_secs(2))
+        .connect(ep)
+        .unwrap();
     fake.join().unwrap();
+    assert_eq!(
+        consumer.next().unwrap().unwrap_err(),
+        TsError::Socket("producer disconnected".into())
+    );
     assert!(consumer.next().is_none());
     assert_eq!(consumer.stop_reason(), Some(StopReason::ProducerGone));
 }
@@ -1070,9 +1047,9 @@ fn socket_teardown_mid_stream_is_producer_gone() {
 /// assertions: (epoch, shard, index, labels, field bytes, last).
 type ByteTrace = Vec<(u64, usize, u64, Vec<i64>, Vec<u8>, bool)>;
 
-fn consume_trace(mut consumer: TensorConsumer) -> (ByteTrace, Option<StopReason>) {
+fn consume_trace(mut consumer: Consumer) -> (ByteTrace, Option<StopReason>) {
     let mut trace = Vec::new();
-    for b in consumer.by_ref() {
+    for b in clean_batches(&mut consumer) {
         trace.push((
             b.epoch,
             b.shard,
@@ -1083,6 +1060,31 @@ fn consume_trace(mut consumer: TensorConsumer) -> (ByteTrace, Option<StopReason>
         ));
     }
     (trace, consumer.stop_reason())
+}
+
+/// Answers a HELLO the way a one-shard producer without an arena does.
+fn answer_hello(publisher: &ts_socket::PubSocket, token: u64) {
+    use crate::protocol::messages::{caps, topics, DataMsg, WelcomeInfo, HANDSHAKE_VERSION};
+    let welcome = DataMsg::Welcome {
+        token,
+        info: WelcomeInfo {
+            version: HANDSHAKE_VERSION,
+            shards: 1,
+            batch_size: 4,
+            flex_producer_batch: 0,
+            staging: 0,
+            arena: None,
+            endpoint_overrides: Vec::new(),
+            payload_modes: caps::SHM,
+            log: None,
+        },
+    };
+    publisher
+        .send(
+            &topics::hello(token),
+            ts_socket::Multipart::single(welcome.encode()),
+        )
+        .unwrap();
 }
 
 fn sharded_loaders(n: usize, batch: usize, shards: usize, shuffle: bool) -> Vec<DataLoader> {
@@ -1102,13 +1104,13 @@ fn sharded_loaders(n: usize, batch: usize, shards: usize, shuffle: bool) -> Vec<
 
 #[test]
 fn single_shard_group_is_byte_identical_to_plain_producer() {
-    // Acceptance criterion: with shards == 1 the coordinator path must
+    // A one-shard loader partition spawned through `spawn_sharded` must
     // produce a byte-identical batch stream to the plain producer.
     let plain = {
         let ctx = TsContext::host_only();
         let ep = "inproc://shard-id-plain";
-        let producer = TensorProducer::spawn(loader(48, 4), &ctx, producer_cfg(ep, 2)).unwrap();
-        let consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+        let producer = spawn(loader(48, 4), &ctx, producer_cfg(ep, 2)).unwrap();
+        let consumer = connect(&ctx, ep);
         let (trace, reason) = consume_trace(consumer);
         assert_eq!(reason, Some(StopReason::End));
         producer.join().unwrap();
@@ -1117,18 +1119,12 @@ fn single_shard_group_is_byte_identical_to_plain_producer() {
     let grouped = {
         let ctx = TsContext::host_only();
         let ep = "inproc://shard-id-group";
-        let group = ShardedProducerGroup::spawn(
-            sharded_loaders(48, 4, 1, false),
-            &ctx,
-            producer_cfg(ep, 2),
-        )
-        .unwrap();
-        let mut cc = consumer_cfg(ep);
-        cc.shards = 1;
-        let consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+        let group =
+            spawn_sharded(sharded_loaders(48, 4, 1, false), &ctx, producer_cfg(ep, 2)).unwrap();
+        let consumer = connect(&ctx, ep);
         let (trace, reason) = consume_trace(consumer);
         assert_eq!(reason, Some(StopReason::End));
-        let stats = group.join().unwrap();
+        let stats = group.join_shards().unwrap();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].epochs_completed, 2);
         trace
@@ -1147,19 +1143,20 @@ fn sharded_group_covers_each_epoch_exactly_once_and_is_bit_stable() {
         for run in 0..2 {
             let ctx = TsContext::host_only();
             let ep = format!("inproc://shard-cover-{shards}-{run}");
-            let group = ShardedProducerGroup::spawn(
+            let group = spawn_sharded(
                 sharded_loaders(48, 4, shards, true),
                 &ctx,
                 producer_cfg(&ep, 2),
             )
             .unwrap();
-            let mut cc = consumer_cfg(&ep);
-            cc.shards = shards;
-            let consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+            // The consumer is NOT told the shard count; the handshake is.
+            let consumer = connect(&ctx, &ep);
             assert_eq!(consumer.num_shards(), shards);
+            assert_eq!(consumer.welcome().batch_size, 4);
+            assert!(consumer.welcome().arena.is_none());
             let (trace, reason) = consume_trace(consumer);
             assert_eq!(reason, Some(StopReason::End), "shards={shards} run={run}");
-            let stats = group.join().unwrap();
+            let stats = group.join_shards().unwrap();
             assert_eq!(stats.len(), shards);
             for (s, st) in stats.iter().enumerate() {
                 assert_eq!(st.epochs_completed, 2, "shard {s}");
@@ -1203,28 +1200,26 @@ fn sharded_mid_epoch_join_replays_every_shard() {
     let mut cfg = producer_cfg(ep, 1);
     cfg.rubberband_cutoff = 1.0; // whole epoch joinable
     cfg.buffer_size = 2;
-    let group = ShardedProducerGroup::spawn(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
-    let mut cc = consumer_cfg(ep);
-    cc.shards = 2;
+    let group = spawn_sharded(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
     // First consumer starts the epoch and consumes a few batches.
-    let mut c1 = TensorConsumer::connect(&ctx, cc.clone()).unwrap();
+    let mut c1 = connect(&ctx, ep);
     let mut labels1: Vec<i64> = Vec::new();
     for _ in 0..4 {
-        let b = c1.next().unwrap();
+        let b = c1.next().unwrap().unwrap();
         labels1.extend(b.labels.to_vec_i64().unwrap());
     }
     // Second consumer joins mid-epoch: the group must admit it ONCE and
     // replay the epoch prefix of both shards.
-    let c2 = TensorConsumer::connect(&ctx, cc).unwrap();
+    let c2 = connect(&ctx, ep);
     let h1 = std::thread::spawn(move || {
-        for b in c1.by_ref() {
+        for b in clean_batches(&mut c1) {
             labels1.extend(b.labels.to_vec_i64().unwrap());
         }
         (labels1, c1.stop_reason())
     });
     let (trace2, reason2) = consume_trace(c2);
     let (labels1, reason1) = h1.join().unwrap();
-    let stats = group.join().unwrap();
+    let stats = group.join_shards().unwrap();
     assert_eq!(reason1, Some(StopReason::End));
     assert_eq!(reason2, Some(StopReason::End));
     // Both consumers saw the complete epoch (all 64 samples).
@@ -1257,17 +1252,15 @@ fn sharded_staging_engines_report_per_shard_gauges() {
     let ep = "inproc://shard-staging";
     let mut cfg = producer_cfg(ep, 1);
     cfg.device = DeviceId::Gpu(0);
-    let group = ShardedProducerGroup::spawn(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
-    let mut cc = consumer_cfg(ep);
-    cc.shards = 2;
-    let mut consumer = TensorConsumer::connect(&ctx, cc).unwrap();
-    let mut batches = 0u64;
-    for b in consumer.by_ref() {
+    let group = spawn_sharded(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
+    let mut received = 0u64;
+    for b in clean_batches(&mut consumer) {
         assert_eq!(b.fields[0].device(), DeviceId::Gpu(0));
-        batches += 1;
+        received += 1;
     }
-    assert_eq!(batches, 16, "2 shards × 8 batches");
-    let stats = group.join().unwrap();
+    assert_eq!(received, 16, "2 shards × 8 batches");
+    let stats = group.join_shards().unwrap();
     let gauges: std::collections::HashMap<String, f64> =
         ctx.metrics.gauge_snapshot().into_iter().collect();
     for shard in 0..2 {
@@ -1299,10 +1292,8 @@ fn sharded_group_recycles_per_shard_arena_slots() {
     let ep = "inproc://shard-pools";
     let mut cfg = producer_cfg(ep, 2);
     cfg.rubberband_cutoff = 0.02;
-    let group = ShardedProducerGroup::spawn(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
-    let mut cc = consumer_cfg(ep);
-    cc.shards = 2;
-    let consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+    let group = spawn_sharded(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
+    let consumer = connect(&ctx, ep);
     let (trace, reason) = consume_trace(consumer);
     assert_eq!(reason, Some(StopReason::End));
     assert_eq!(trace.len(), 32, "2 epochs × 2 shards × 8 batches");
@@ -1328,10 +1319,10 @@ fn aborted_producer_join_returns_partial_stats_promptly() {
     let ep = "inproc://abort-join";
     let mut cfg = producer_cfg(ep, 8);
     cfg.heartbeat_timeout = Duration::from_secs(30); // a hang would be obvious
-    let producer = TensorProducer::spawn(loader(4096, 4), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(4096, 4), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let mut seen = 0u64;
-    for _ in consumer.by_ref().take(3) {
+    for _ in clean_batches(&mut consumer).take(3) {
         seen += 1;
     }
     assert_eq!(seen, 3);
@@ -1351,13 +1342,8 @@ fn aborted_producer_join_returns_partial_stats_promptly() {
     // The consumer still ends cleanly on the producer's End, even when
     // the abort raced ahead and left stale announces in flight (their
     // payloads are skipped, not fatal).
-    for _ in consumer.by_ref() {}
-    assert_eq!(
-        consumer.stop_reason(),
-        Some(StopReason::End),
-        "last_error: {:?}",
-        consumer.last_error()
-    );
+    for _ in clean_batches(&mut consumer) {}
+    assert_eq!(consumer.stop_reason(), Some(StopReason::End));
 }
 
 #[test]
@@ -1369,8 +1355,8 @@ fn stale_announces_from_an_aborted_producer_are_skipped_not_fatal() {
     // instead of wedging with a Protocol stop.
     let ctx = TsContext::host_only();
     let ep = "inproc://abort-stale";
-    let producer = TensorProducer::spawn(loader(4096, 4), &ctx, producer_cfg(ep, 8)).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(4096, 4), &ctx, producer_cfg(ep, 8)).unwrap();
+    let mut consumer = connect(&ctx, ep);
     // Take one batch without ever acking it: the producer fills its
     // publish window (buffer_size ahead of the oldest unacked) and
     // parks, so at least one announced batch is guaranteed to be
@@ -1380,13 +1366,8 @@ fn stale_announces_from_an_aborted_producer_are_skipped_not_fatal() {
     producer.abort();
     let stats = producer.join().expect("abort + join must yield stats");
     assert!(stats.batches_published >= 2, "window never filled");
-    for _ in consumer.by_ref() {}
-    assert_eq!(
-        consumer.stop_reason(),
-        Some(StopReason::End),
-        "last_error: {:?}",
-        consumer.last_error()
-    );
+    for _ in clean_batches(&mut consumer) {}
+    assert_eq!(consumer.stop_reason(), Some(StopReason::End));
     assert!(
         ctx.metrics.counter("consumer.dangling_skipped").get() >= 1,
         "the stale announce was not skipped"
@@ -1417,20 +1398,20 @@ fn producer_map_runs_once_per_batch() {
         batch.fields = vec![Tensor::from_f32(&values, &[values.len(), 1], DeviceId::Cpu).unwrap()];
         batch
     }));
-    let producer = TensorProducer::spawn(loader(16, 4), &ctx, cfg).unwrap();
-    let c1 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
-    let c2 = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader(16, 4), &ctx, cfg).unwrap();
+    let c1 = connect(&ctx, ep);
+    let c2 = connect(&ctx, ep);
     let h = std::thread::spawn(move || {
         let mut c2 = c2;
         let mut embeddings = Vec::new();
-        for b in c2.by_ref() {
+        for b in clean_batches(&mut c2) {
             embeddings.push(b.fields[0].to_vec_f32().unwrap());
         }
         embeddings
     });
     let mut c1 = c1;
     let mut embeddings1 = Vec::new();
-    for b in c1.by_ref() {
+    for b in clean_batches(&mut c1) {
         assert_eq!(b.fields[0].shape(), &[4, 1]);
         embeddings1.push(b.fields[0].to_vec_f32().unwrap());
     }
@@ -1446,100 +1427,25 @@ fn producer_map_runs_once_per_batch() {
 }
 
 // ---------------------------------------------------------------------------
-// The unified builder API (Producer / Consumer facades)
+// Builder surface: arena auto-sizing, handshake-learned topology, typed
+// errors
 // ---------------------------------------------------------------------------
 
-use crate::runtime::builder::{Consumer, Producer};
 use crate::runtime::staging::StagingMode;
 use crate::{HandshakeError, TsError};
-
-/// `consume_trace` for the builder facade: unwraps the `Result` items
-/// (asserting a clean stream) so traces compare directly against legacy
-/// ones.
-fn consume_trace_builder(mut consumer: Consumer) -> (ByteTrace, Option<StopReason>) {
-    let mut trace = Vec::new();
-    for b in consumer.by_ref() {
-        let b = b.expect("clean stream");
-        trace.push((
-            b.epoch,
-            b.shard,
-            b.index_in_epoch,
-            b.labels.to_vec_i64().unwrap(),
-            b.fields[0].gather_bytes(),
-            b.last_in_epoch,
-        ));
-    }
-    (trace, consumer.stop_reason())
-}
-
-#[test]
-fn builder_stream_is_byte_identical_to_legacy_at_one_and_many_shards() {
-    // The acceptance criterion of the API redesign: a consumer built with
-    // only `Consumer::builder().connect(endpoint)` sees the exact bytes
-    // the legacy TensorConsumer saw, at 1 shard and at N shards — the
-    // consumer is NOT told the shard count; the handshake is.
-    for shards in [1usize, 2, 3] {
-        let legacy = {
-            let ctx = TsContext::host_only();
-            let ep = format!("inproc://builder-id-legacy-{shards}");
-            let group = ShardedProducerGroup::spawn(
-                sharded_loaders(48, 4, shards, true),
-                &ctx,
-                producer_cfg(&ep, 2),
-            )
-            .unwrap();
-            let mut cc = consumer_cfg(&ep);
-            cc.shards = shards;
-            let consumer = TensorConsumer::connect(&ctx, cc).unwrap();
-            let (trace, reason) = consume_trace(consumer);
-            assert_eq!(reason, Some(StopReason::End));
-            group.join().unwrap();
-            trace
-        };
-        let built = {
-            let ctx = TsContext::host_only();
-            let ep = format!("inproc://builder-id-built-{shards}");
-            let producer = Producer::builder()
-                .context(&ctx)
-                .config(producer_cfg(&ep, 2))
-                .spawn_sharded(sharded_loaders(48, 4, shards, true))
-                .unwrap();
-            assert_eq!(producer.num_shards(), shards);
-            let consumer = Consumer::builder()
-                .context(&ctx)
-                .heartbeat_interval(Duration::from_millis(50))
-                .recv_timeout(Duration::from_secs(5))
-                .connect(&ep)
-                .unwrap();
-            // The topology was learned, not configured.
-            assert_eq!(consumer.num_shards(), shards);
-            assert_eq!(consumer.welcome().shards as usize, shards);
-            assert_eq!(consumer.welcome().batch_size, 4);
-            assert!(consumer.welcome().arena.is_none());
-            let (trace, reason) = consume_trace_builder(consumer);
-            assert_eq!(reason, Some(StopReason::End));
-            let stats = producer.join().unwrap();
-            assert_eq!(stats.epochs_completed, 2);
-            trace
-        };
-        assert_eq!(
-            legacy, built,
-            "builder stream must be byte-identical to legacy at {shards} shard(s)"
-        );
-    }
-}
 
 #[test]
 fn builder_auto_arena_endpoint_only_attach_over_ipc() {
     // The zero-configuration attach: the producer auto-sizes and creates
     // the arena from the loader's geometry; the consumer gets NOTHING but
     // the endpoint URI — a fresh default context, no arena path, no shard
-    // count — and learns everything over the handshake.
-    let legacy = {
+    // count — and learns everything over the handshake. The witness is
+    // the same loader over inproc with heap-backed payloads.
+    let witness = {
         let ctx = TsContext::host_only();
-        let ep = "inproc://builder-arena-legacy";
-        let producer = TensorProducer::spawn(loader(32, 4), &ctx, producer_cfg(ep, 2)).unwrap();
-        let consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+        let ep = "inproc://builder-arena-witness";
+        let producer = spawn(loader(32, 4), &ctx, producer_cfg(ep, 2)).unwrap();
+        let consumer = connect(&ctx, ep);
         let (trace, reason) = consume_trace(consumer);
         assert_eq!(reason, Some(StopReason::End));
         producer.join().unwrap();
@@ -1572,20 +1478,20 @@ fn builder_auto_arena_endpoint_only_attach_over_ipc() {
     assert_eq!(ad.path, arena.path().display().to_string());
     assert_eq!(ad.nslots as usize, arena.nslots());
     assert_eq!(ad.slot_size as usize, arena.slot_size());
-    let (trace, reason) = consume_trace_builder(consumer);
+    let (trace, reason) = consume_trace(consumer);
     assert_eq!(reason, Some(StopReason::End));
     producer.join().unwrap();
     assert_eq!(arena.slots_in_use(), 0, "arena fully drained");
     assert_eq!(
-        legacy, trace,
-        "arena-backed builder stream must be byte-identical to the legacy inproc stream"
+        witness, trace,
+        "arena-backed ipc stream must be byte-identical to the heap-backed inproc stream"
     );
 }
 
 #[test]
 fn builder_staging_modes_stay_byte_identical() {
     // Off / Serial / Overlapped through the builder all deliver the same
-    // bytes — and the same bytes as the legacy consumer on the same mode.
+    // bytes, and the consumer learns the mode from the WELCOME.
     let mut traces = Vec::new();
     for mode in [
         StagingMode::Off,
@@ -1602,14 +1508,9 @@ fn builder_staging_modes_stay_byte_identical() {
             .staging(mode)
             .spawn(loader_with_workers(32, 4, 2))
             .unwrap();
-        let consumer = Consumer::builder()
-            .context(&ctx)
-            .heartbeat_interval(Duration::from_millis(50))
-            .recv_timeout(Duration::from_secs(5))
-            .connect(&ep)
-            .unwrap();
+        let consumer = connect(&ctx, &ep);
         assert_eq!(consumer.staging_mode(), Some(mode));
-        let (trace, reason) = consume_trace_builder(consumer);
+        let (trace, reason) = consume_trace(consumer);
         assert_eq!(reason, Some(StopReason::End));
         producer.join().unwrap();
         traces.push(trace);
@@ -1628,17 +1529,10 @@ fn builder_flexible_mode_carves_consumer_batches() {
         .flexible(FlexibleConfig::new(8))
         .spawn(loader(32, 4))
         .unwrap();
-    let mut consumer = Consumer::builder()
-        .context(&ctx)
-        .batch_size(2)
-        .heartbeat_interval(Duration::from_millis(50))
-        .recv_timeout(Duration::from_secs(5))
-        .connect(ep)
-        .unwrap();
+    let mut consumer = consumer(&ctx).batch_size(2).connect(ep).unwrap();
     assert_eq!(consumer.welcome().flex_producer_batch, 8);
     let mut samples = 0u64;
-    for b in consumer.by_ref() {
-        let b = b.expect("clean stream");
+    for b in clean_batches(&mut consumer) {
         assert_eq!(b.batch_size(), 2);
         samples += b.batch_size() as u64;
     }
@@ -1652,9 +1546,7 @@ fn builder_consumer_surfaces_timeout_as_err_item() {
     // The Result-iterator contract: an abnormal stop yields exactly one
     // Err item, then the stream ends. A fake producer answers the attach
     // handshake, admits the join, and then starves the consumer.
-    use crate::protocol::messages::{
-        caps, topics, CtrlMsg, DataMsg, JoinDecision, WelcomeInfo, HANDSHAKE_VERSION,
-    };
+    use crate::protocol::messages::{topics, CtrlMsg, DataMsg, JoinDecision};
     use ts_socket::{Multipart, PubSocket, PullSocket};
 
     let ctx = TsContext::host_only();
@@ -1669,25 +1561,7 @@ fn builder_consumer_surfaces_timeout_as_err_item() {
             continue;
         };
         match m {
-            CtrlMsg::Hello { token, .. } => {
-                let welcome = DataMsg::Welcome {
-                    token,
-                    info: WelcomeInfo {
-                        version: HANDSHAKE_VERSION,
-                        shards: 1,
-                        batch_size: 4,
-                        flex_producer_batch: 0,
-                        staging: 0,
-                        arena: None,
-                        endpoint_overrides: Vec::new(),
-                        payload_modes: caps::SHM,
-                        log: None,
-                    },
-                };
-                publisher
-                    .send(&topics::hello(token), Multipart::single(welcome.encode()))
-                    .unwrap();
-            }
+            CtrlMsg::Hello { token, .. } => answer_hello(&publisher, token),
             CtrlMsg::Join { consumer_id, .. } => {
                 let reply = DataMsg::JoinReply {
                     consumer_id,
@@ -1772,7 +1646,7 @@ fn builder_shards_override_mismatch_is_a_typed_error() {
         .recv_timeout(Duration::from_secs(5))
         .connect(ep)
         .unwrap();
-    let (_, reason) = consume_trace_builder(consumer);
+    let (_, reason) = consume_trace(consumer);
     assert_eq!(reason, Some(StopReason::End));
     producer.join().unwrap();
 }
@@ -1796,13 +1670,8 @@ fn two_standalone_gpu_producers_get_disjoint_gauge_namespaces() {
     let pa = spawn("inproc://gauge-ns-a");
     let pb = spawn("inproc://gauge-ns-b");
     for ep in ["inproc://gauge-ns-a", "inproc://gauge-ns-b"] {
-        let consumer = Consumer::builder()
-            .context(&ctx)
-            .heartbeat_interval(Duration::from_millis(50))
-            .recv_timeout(Duration::from_secs(5))
-            .connect(ep)
-            .unwrap();
-        let (_, reason) = consume_trace_builder(consumer);
+        let consumer = connect(&ctx, ep);
+        let (_, reason) = consume_trace(consumer);
         assert_eq!(reason, Some(StopReason::End));
     }
     pa.join().unwrap();
@@ -1837,12 +1706,12 @@ fn steady_state_publish_moves_zero_payload_bytes() {
     let ep = "inproc://zero-copy-steady";
     let mut cfg = producer_cfg(ep, 2);
     cfg.rubberband_cutoff = 0.02;
-    let producer = TensorProducer::spawn(loader_with_workers(64, 4, 2), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader_with_workers(64, 4, 2), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let copies = ctx.metrics.counter("stage.publish_copy_bytes");
     let mut consumed = 0u64;
     let mut warmed_copies = None;
-    for _ in consumer.by_ref() {
+    for _ in clean_batches(&mut consumer) {
         consumed += 1;
         if consumed == 8 {
             warmed_copies = Some(copies.get());
@@ -1891,14 +1760,12 @@ fn sharded_gpu_staged_publish_stays_zero_copy() {
         ..Default::default()
     };
     cfg.rubberband_cutoff = 0.02;
-    let group = ShardedProducerGroup::spawn(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
-    let mut cc = consumer_cfg(ep);
-    cc.shards = 2;
-    let consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+    let group = spawn_sharded(sharded_loaders(64, 4, 2, false), &ctx, cfg).unwrap();
+    let consumer = connect(&ctx, ep);
     let (trace, reason) = consume_trace(consumer);
     assert_eq!(reason, Some(StopReason::End));
     assert_eq!(trace.len(), 32, "2 epochs × 2 shards × 8 batches");
-    let stats = group.join().unwrap();
+    let stats = group.join_shards().unwrap();
     assert!(stats.iter().all(|s| s.bytes_staged > 0), "staging ran");
     for s in 0..2u32 {
         assert_eq!(
@@ -1942,8 +1809,14 @@ fn zero_copy_publish_is_byte_identical_across_shards_staging_and_payload() {
                             std::process::id()
                         ));
                         ctx.create_arena(&arena_path, 64, 4096).unwrap();
-                        for s in 0..shards {
-                            ctx.enable_shard_slot_recycling(s as u32, 8).unwrap();
+                        // A one-source producer leases from the unsharded
+                        // pool, a group from one pool per shard.
+                        if shards == 1 {
+                            ctx.enable_slot_recycling(8).unwrap();
+                        } else {
+                            for s in 0..shards as u32 {
+                                ctx.enable_shard_slot_recycling(s, 8).unwrap();
+                            }
                         }
                     }
                     let ep = format!("inproc://ident-{shards}-{stag_tag}-{mode_tag}-{leased}");
@@ -1955,16 +1828,12 @@ fn zero_copy_publish_is_byte_identical_across_shards_staging_and_payload() {
                             ..Default::default()
                         };
                     }
-                    let group = ShardedProducerGroup::spawn(
-                        sharded_loaders(48, 4, shards, false),
-                        &ctx,
-                        cfg,
-                    )
-                    .unwrap();
-                    let mut cc = consumer_cfg(&ep);
-                    cc.shards = shards;
-                    cc.mode = payload_mode;
-                    let consumer = TensorConsumer::connect(&ctx, cc).unwrap();
+                    let group =
+                        spawn_sharded(sharded_loaders(48, 4, shards, false), &ctx, cfg).unwrap();
+                    let consumer = consumer(&ctx)
+                        .payload_mode(payload_mode)
+                        .connect(&ep)
+                        .unwrap();
                     let (trace, reason) = consume_trace(consumer);
                     assert_eq!(reason, Some(StopReason::End), "{tag} leased={leased}");
                     assert_eq!(trace.len(), 24, "{tag} leased={leased}");
@@ -2003,10 +1872,10 @@ fn stream_consumer_leaving_mid_replay_stops_the_stream_encoder() {
             ..Default::default()
         },
     );
-    let producer = TensorProducer::spawn(image_loader, &ctx, cfg).unwrap();
-    let mut good = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(image_loader, &ctx, cfg).unwrap();
+    let mut good = connect(&ctx, ep);
     let mut consumed = 0usize;
-    for _ in good.by_ref() {
+    for _ in clean_batches(&mut good) {
         consumed += 1;
         if consumed == 20 {
             break;
@@ -2047,7 +1916,7 @@ fn stream_consumer_leaving_mid_replay_stops_the_stream_encoder() {
         ))
         .unwrap();
     }
-    for _ in good.by_ref() {
+    for _ in clean_batches(&mut good) {
         consumed += 1;
     }
     assert_eq!(consumed, 24);
@@ -2072,11 +1941,10 @@ fn publish_cursor_broadcasts_coalesce_to_latest_wins() {
     // backlog.
     let ctx = TsContext::host_only();
     let ep = "inproc://cursor-coalesce";
-    let producer =
-        TensorProducer::spawn(loader_with_workers(1024, 4, 2), &ctx, producer_cfg(ep, 2)).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader_with_workers(1024, 4, 2), &ctx, producer_cfg(ep, 2)).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let mut consumed = 0u64;
-    for _ in consumer.by_ref() {
+    for _ in clean_batches(&mut consumer) {
         consumed += 1;
         // Stretch the run across several 25ms flush windows.
         if consumed.is_multiple_of(64) {
@@ -2113,8 +1981,8 @@ fn cursor_cadence_bounds_lag_and_never_moves_backwards_across_epochs() {
     let mut cfg = producer_cfg(ep, 3);
     cfg.buffer_size = 4;
     let buffer_size = cfg.buffer_size;
-    let producer = TensorProducer::spawn(loader_with_workers(512, 4, 2), &ctx, cfg).unwrap();
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let producer = spawn(loader_with_workers(512, 4, 2), &ctx, cfg).unwrap();
+    let mut consumer = connect(&ctx, ep);
     let lag_gauge = ctx.metrics.gauge("consumer.cursor_lag");
     let mut consumed = 0u64;
     let mut max_lag = 0.0f64;
@@ -2184,6 +2052,7 @@ fn unknown_data_tag_is_counted_and_skipped_by_the_consumer() {
                 continue;
             };
             match m {
+                CtrlMsg::Hello { token, .. } => answer_hello(&publisher, token),
                 CtrlMsg::Join { consumer_id, .. } => {
                     let reply = DataMsg::JoinReply {
                         consumer_id,
@@ -2221,7 +2090,7 @@ fn unknown_data_tag_is_counted_and_skipped_by_the_consumer() {
             }
         }
     });
-    let mut consumer = TensorConsumer::connect(&ctx, consumer_cfg(ep)).unwrap();
+    let mut consumer = connect(&ctx, ep);
     assert!(consumer.next().is_none(), "only an End was ever published");
     assert_eq!(consumer.stop_reason(), Some(StopReason::End));
     assert_eq!(

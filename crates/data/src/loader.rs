@@ -177,9 +177,9 @@ impl DataLoader {
     }
 
     /// Pipeline sizing hint `(num_workers, prefetch_factor)` for engines
-    /// that hand prepared batches off a stage boundary (the
-    /// `TensorProducer` reuses it to size its feeder stage and hand-off
-    /// queue): how many worker threads this loader prepares batches on,
+    /// that hand prepared batches off a stage boundary (a TensorSocket
+    /// producer reuses it to size its feeder stage and hand-off queue):
+    /// how many worker threads this loader prepares batches on,
     /// and how many batches each keeps in flight.
     pub fn pipeline_hint(&self) -> (usize, usize) {
         (self.cfg.num_workers, self.cfg.prefetch_factor)

@@ -33,26 +33,11 @@
 //! pool from the loader's own geometry (`.arena(path)`), instead of
 //! asking you to compute slot counts.
 //!
-//! # Migrating from the legacy API
-//!
-//! The pre-builder types still compile behind `#[deprecated]` shims that
-//! delegate to the same engine; move off them mechanically:
-//!
-//! | legacy                                                        | builder |
-//! |---------------------------------------------------------------|---------|
-//! | `TensorProducer::spawn(loader, &ctx, cfg)`                    | `Producer::builder().context(&ctx).config(cfg).spawn(loader)` |
-//! | `ShardedProducerGroup::spawn(loaders, &ctx, cfg)`             | `Producer::builder().context(&ctx).config(cfg).spawn_sharded(loaders)` |
-//! | `ctx.create_arena(path, nslots, slot_size)` + `ctx.enable_slot_recycling(depth)` | `.arena(path)` (auto-sized) or `.arena_sized(path, nslots, slot_size)` |
-//! | `TensorConsumer::connect(&ctx, ConsumerConfig { endpoint, .. })` | `Consumer::builder().context(&ctx).connect(endpoint)` |
-//! | `ConsumerConfig { shards: N, .. }`                            | nothing — the handshake learns `N` (assert with `.shards(N)`) |
-//! | `ctx.open_arena(path)` before connecting                      | nothing — the handshake advertises the arena |
-//! | `for batch in consumer { .. }` then check `stop_reason()`     | `for batch in consumer { let batch = batch?; .. }` |
-//!
-//! Config structs (`ProducerConfig`, `ConsumerConfig`) are still public —
-//! `.config(cfg)` seeds a builder from one — and each knob also has a
-//! dedicated builder method. A `Producer` spawned from one source is a
-//! plain pipeline; from `N` sources it is the coordinated sharded group
-//! (`shards = 1` is just the degenerate case of the same facade).
+//! Each knob has a dedicated builder method, and `.config(cfg)` seeds a
+//! producer builder from a whole `ProducerConfig`. A `Producer` spawned
+//! from one source is a plain pipeline; from `N` sources it is the
+//! coordinated sharded group (`shards = 1` is just the degenerate case of
+//! the same facade).
 //!
 //! # Endpoint URIs
 //!
@@ -74,25 +59,6 @@
 //! separate processes, see `examples/multi_process.rs`: an `ipc://`
 //! endpoint plus `.arena(path)` on the producer — and *only* the
 //! endpoint on the consumers.
-//!
-//! # Migrating from handshake v1 to v2 (multi-host)
-//!
-//! Handshake v2 keeps every v1 deployment working unchanged — a v1
-//! consumer attaches to a v2 producer and vice versa (the v2 extensions
-//! ride in trailing bytes a v1 decoder never reads). What v2 *adds* is
-//! the multi-host data plane; migrate per deployment, not per codebase:
-//!
-//! | v1 deployment                                    | v2 |
-//! |--------------------------------------------------|----|
-//! | all shards derived from one base endpoint        | unchanged — `tcp://host:port` still derives `port + 2·shard` |
-//! | shards must share one host/NIC                   | `.shard_endpoint(i, "tcp://other-host:port")` per shard; the WELCOME advertises the full map, consumers need **no** change |
-//! | consumers must map the producer's shm arena      | negotiated per consumer: a consumer that cannot open the arena falls back to length-prefixed byte **streaming** on the same data socket, bit-identical to the shm stream |
-//! | `ctx.open_arena(..)` failures at first batch     | typed at attach: `HandshakeError::ArenaMissing` (pinned `.payload_mode(Shm)`) or a clean streamed attach (unpinned) |
-//! | no way to test the remote shape locally          | `.payload_mode(PayloadMode::Stream)` or `TS_FORCE_PAYLOAD_MODE=stream` forces streaming over any transport |
-//!
-//! Note one topology rule: shard 0's endpoint is the handshake endpoint
-//! consumers hello at, so it comes from the *base* endpoint —
-//! `.shard_endpoint(0, ..)` on a multi-shard group is a config error.
 //!
 //! # Pipeline tuning
 //!

@@ -3,8 +3,10 @@
 //! [`HandshakeError`] — never as a hang, and never as a consumer silently
 //! training on the wrong topology.
 //!
-//! * **version skew** — a consumer speaking a future handshake version
-//!   gets [`HandshakeError::Version`] carrying both versions;
+//! * **version skew** — a producer whose WELCOME carries another
+//!   handshake version, newer or older, is refused with
+//!   [`HandshakeError::Version`] carrying both versions (and a producer
+//!   answers every HELLO in its own version);
 //! * **`shards` override mismatch** — a consumer that insists on a shard
 //!   count the producer does not advertise gets
 //!   [`HandshakeError::Topology`];
@@ -21,12 +23,16 @@
 //! Each case is timeout-guarded: the error must arrive well inside the
 //! guard, proving the failure path is a fast typed reply, not a timeout.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use tensorsocket::protocol::messages::topics;
 use tensorsocket::{
-    Consumer, HandshakeError, PayloadMode, Producer, ProducerConfig, TsError, HANDSHAKE_VERSION,
+    caps, Consumer, CtrlMsg, DataMsg, HandshakeError, PayloadMode, Producer, ProducerConfig,
+    TsContext, TsError, WelcomeInfo, HANDSHAKE_VERSION,
 };
 use ts_data::{DataLoader, DataLoaderConfig, SyntheticImageDataset};
+use ts_socket::{EndpointMap, Multipart, PubSocket, PullSocket, PushSocket, SubSocket};
 
 const GUARD: Duration = Duration::from_secs(20);
 
@@ -88,28 +94,139 @@ fn expect_error(connect: impl FnOnce() -> tensorsocket::Result<Consumer>) -> (Ts
     (err, elapsed)
 }
 
+/// Serves a fake producer on `ep` that answers every HELLO with a
+/// WELCOME carrying handshake version `theirs`, connects a real consumer
+/// and asserts the typed version refusal.
+fn assert_version_refused(scheme: &str, ep: &str, theirs: u32) {
+    let ctx = TsContext::host_only();
+    let map = EndpointMap::new(ep, 1);
+    let publisher = PubSocket::bind(&ctx.sockets, &map.data(0)).expect("bind fake data");
+    let ctrl = PullSocket::bind(&ctx.sockets, &map.ctrl(0)).expect("bind fake ctrl");
+    let stop = Arc::new(AtomicBool::new(false));
+    let fake = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let Ok(msg) = ctrl.recv_timeout(Duration::from_millis(50)) else {
+                    continue;
+                };
+                let Ok(CtrlMsg::Hello { token, .. }) = CtrlMsg::decode(&msg.frames()[0]) else {
+                    continue;
+                };
+                let welcome = DataMsg::Welcome {
+                    token,
+                    info: WelcomeInfo {
+                        version: theirs,
+                        shards: 1,
+                        batch_size: 4,
+                        flex_producer_batch: 0,
+                        staging: 0,
+                        arena: None,
+                        endpoint_overrides: Vec::new(),
+                        payload_modes: caps::KNOWN,
+                        log: None,
+                    },
+                };
+                let _ = publisher.send(&topics::hello(token), Multipart::single(welcome.encode()));
+            }
+        })
+    };
+    let (err, _) = expect_error(|| Consumer::builder().handshake_timeout(GUARD).connect(ep));
+    assert_eq!(
+        err,
+        TsError::Handshake(HandshakeError::Version {
+            ours: HANDSHAKE_VERSION,
+            theirs,
+        }),
+        "{scheme}: wrong error"
+    );
+    stop.store(true, Ordering::Relaxed);
+    fake.join().expect("fake producer");
+}
+
 #[test]
 fn version_skew_yields_typed_error_promptly() {
+    // A producer from a newer build answers in its own version.
     for (scheme, ep) in endpoints("ver", 0) {
+        assert_version_refused(scheme, &ep, HANDSHAKE_VERSION + 1);
+    }
+}
+
+#[test]
+fn older_producer_version_yields_typed_error_promptly() {
+    // The rolling-upgrade direction: a producer still running the
+    // previous build is refused too. There is one wire dialect, so no
+    // downgrade is negotiated.
+    for (scheme, ep) in endpoints("old", 6) {
+        assert_version_refused(scheme, &ep, HANDSHAKE_VERSION - 1);
+    }
+}
+
+#[test]
+fn producer_answers_any_hello_version_in_its_own() {
+    // The producer side of the single-version contract: a HELLO from a
+    // peer of another version gets a WELCOME stamped with the producer's
+    // own version (the peer refuses it), and answering never registers
+    // the peer as a consumer — a real consumer afterwards streams the
+    // whole epoch (through the arena: its context is not the producer's).
+    for (scheme, ep) in endpoints("answer", 7) {
+        let arena_path = std::env::temp_dir().join(format!(
+            "ts-hs-answer-{scheme}-{}.arena",
+            std::process::id()
+        ));
         let producer = Producer::builder()
             .config(producer_cfg(&ep))
+            .arena(&arena_path)
             .spawn(loader(1).remove(0))
             .expect("spawn producer");
-        let (err, _) = expect_error(|| {
-            Consumer::builder()
-                .hello_version(HANDSHAKE_VERSION + 41)
-                .handshake_timeout(GUARD)
-                .connect(&ep)
-        });
-        assert_eq!(
-            err,
-            TsError::Handshake(HandshakeError::Version {
-                ours: HANDSHAKE_VERSION + 41,
-                theirs: HANDSHAKE_VERSION,
-            }),
-            "{scheme}: wrong error"
-        );
-        producer.abort();
+        let ctx = TsContext::host_only();
+        let map = EndpointMap::new(ep.as_str(), 1);
+        let push = PushSocket::connect(&ctx.sockets, &map.ctrl(0));
+        let sub = SubSocket::connect(&ctx.sockets, &map.data(0));
+        for (token, version) in [
+            (11u64, 0u32),
+            (12, HANDSHAKE_VERSION - 1),
+            (13, HANDSHAKE_VERSION + 1),
+        ] {
+            sub.subscribe(&topics::hello(token));
+            let hello = CtrlMsg::Hello {
+                token,
+                version,
+                caps: caps::KNOWN,
+            }
+            .encode();
+            let deadline = Instant::now() + GUARD;
+            let info = loop {
+                assert!(
+                    Instant::now() < deadline,
+                    "{scheme}: no WELCOME for a v{version} HELLO"
+                );
+                let _ = push.send(Multipart::single(hello.clone()));
+                let Ok((_, msg)) = sub.recv_timeout(Duration::from_millis(50)) else {
+                    continue;
+                };
+                match DataMsg::decode(&msg.frames()[0]) {
+                    Ok(DataMsg::Welcome { token: t, info }) if t == token => break info,
+                    _ => continue,
+                }
+            };
+            assert_eq!(
+                info.version, HANDSHAKE_VERSION,
+                "{scheme}: a v{version} HELLO is answered in the producer's own version"
+            );
+        }
+        let mut consumer = Consumer::builder()
+            .handshake_timeout(GUARD)
+            .recv_timeout(Duration::from_secs(10))
+            .heartbeat_interval(Duration::from_millis(50))
+            .connect(&ep)
+            .expect("consumer attaches after foreign HELLOs");
+        let mut batches = 0;
+        for b in consumer.by_ref() {
+            b.expect("clean stream");
+            batches += 1;
+        }
+        assert_eq!(batches, 16, "{scheme}: full epoch");
         producer.join().expect("producer join");
     }
 }
@@ -177,7 +294,7 @@ fn unopenable_arena_yields_typed_error_promptly() {
 #[test]
 fn unopenable_arena_falls_back_to_streamed_payloads() {
     // The same stale-path shape as above, but the consumer leaves the
-    // payload mode unpinned: the v2 handshake grants streaming, so the
+    // payload mode unpinned: the handshake grants streaming, so the
     // attach succeeds in streamed mode and the epoch still delivers.
     for (scheme, ep) in endpoints("fallback", 4) {
         let arena_path = std::env::temp_dir().join(format!(
@@ -238,44 +355,6 @@ fn forced_streaming_from_flex_producer_yields_mode_error() {
             other => panic!("{scheme}: expected Mode error, got {other:?}"),
         }
         producer.abort();
-        producer.join().expect("producer join");
-    }
-}
-
-#[test]
-fn v1_consumer_attaches_to_a_v2_producer_and_streams() {
-    // Mixed-version fleet, the compat direction that matters in a
-    // rolling upgrade: a consumer still speaking handshake v1 hellos a
-    // v2 producer. The producer answers in the v1 dialect (no trailing
-    // v2 extensions), the consumer lands on the v1 default payload mode
-    // (shm) and streams the full epoch.
-    for (scheme, ep) in endpoints("v1", 6) {
-        let arena_path =
-            std::env::temp_dir().join(format!("ts-hs-v1-{scheme}-{}.arena", std::process::id()));
-        let producer = Producer::builder()
-            .config(producer_cfg(&ep))
-            .arena(&arena_path)
-            .spawn(loader(1).remove(0))
-            .expect("spawn v2 producer");
-        let mut consumer = Consumer::builder()
-            .hello_version(HANDSHAKE_VERSION - 1)
-            .handshake_timeout(GUARD)
-            .recv_timeout(Duration::from_secs(10))
-            .heartbeat_interval(Duration::from_millis(50))
-            .connect(&ep)
-            .expect("v1 consumer attaches");
-        assert_eq!(
-            consumer.payload_mode(),
-            PayloadMode::Shm,
-            "{scheme}: v1 welcomes carry no grant mask — the consumer \
-             must land on the v1 default"
-        );
-        let mut batches = 0;
-        for b in consumer.by_ref() {
-            b.expect("clean v1 stream");
-            batches += 1;
-        }
-        assert_eq!(batches, 16, "{scheme}: full epoch in the v1 dialect");
         producer.join().expect("producer join");
     }
 }

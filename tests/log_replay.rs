@@ -23,7 +23,7 @@
 //! `tests/log_replay_multi_process.rs`.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tensorsocket::runtime::consumer::StopReason;
 use tensorsocket::{Consumer, Producer, ProducerConfig, TsContext, TsError};
 use ts_data::{DataLoader, DataLoaderConfig, Dataset, DecodedSample, RawSample};
@@ -149,7 +149,7 @@ fn fresh_group_late_join_replays_full_history() {
         .expect("witness connect");
     assert!(
         witness.welcome().log.is_some(),
-        "v3 WELCOME must advertise the log"
+        "the WELCOME must advertise the log"
     );
 
     // Late joiner starts once the witness is into epoch 1, so at least
@@ -178,6 +178,19 @@ fn fresh_group_late_join_replays_full_history() {
                 assert_eq!(consumer.stop_reason(), Some(StopReason::End));
                 got
             }));
+            // Hold the witness until the producer has parked the late
+            // JOIN for the next epoch boundary: with the witness not
+            // acking, the publish window keeps the producer in epoch 1,
+            // so the join cannot arrive after the run has ended.
+            let deferred = ctx.metrics.counter("producer.joins_deferred");
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while deferred.get() == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "late join never reached the producer"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
     assert_eq!(witness.stop_reason(), Some(StopReason::End));

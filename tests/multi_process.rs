@@ -14,18 +14,16 @@
 //!   small arena survives `epochs × batches` allocations, and is fully
 //!   free after the run.
 //!
-//! The producer runs through the legacy (`#[deprecated]`) shim while the
+//! The producer binds an arena its context created by hand, while the
 //! consumer processes attach with `Consumer::builder().connect(endpoint)`
 //! and **nothing else** — no arena path, no configuration: the attach
-//! handshake carries the arena advertisement, proving the new facade
-//! interoperates with every legacy-spawned topology.
-#![allow(deprecated)]
+//! handshake carries the arena advertisement.
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
-use tensorsocket::{Consumer, ProducerConfig, TensorProducer, TsContext};
+use tensorsocket::{Consumer, Producer, ProducerConfig, TsContext};
 use ts_data::{DataLoader, DataLoaderConfig, Dataset, DecodedSample, RawSample};
 use ts_device::DeviceId;
 use ts_tensor::Tensor;
@@ -111,6 +109,20 @@ fn run_consumer() {
 
     let mut out = std::fs::File::create(&out_path).expect("result file");
     writeln!(out, "joined {joined_epoch}").unwrap();
+    // Consume nothing until every consumer process has attached: this
+    // one not acking keeps the producer inside the join window of epoch
+    // 0, so a sibling that starts late still finds a running producer.
+    let peers = std::env::var_os("TS_MP_PEERS").expect("TS_MP_PEERS");
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    for peer in std::env::split_paths(&peers) {
+        while !std::fs::read_to_string(&peer).is_ok_and(|t| t.starts_with("joined")) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "peer consumer never attached"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
     let mut consumed = 0u64;
     for batch in consumer.by_ref() {
         let batch = batch.expect("clean stream");
@@ -193,6 +205,10 @@ fn multi_process_ipc_shared_arena() {
     let out_paths: Vec<_> = (0..2)
         .map(|i| tmp.join(format!("ts-mp-{tag}-consumer{i}.txt")))
         .collect();
+    for path in &out_paths {
+        let _ = std::fs::remove_file(path);
+    }
+    let peers = std::env::join_paths(&out_paths).expect("result paths");
 
     // Deliberately small arena: 3 epochs x 8 announces x 2 storages = 48
     // allocations must recycle through 12 slots, proving acked releases
@@ -214,10 +230,9 @@ fn multi_process_ipc_shared_arena() {
             ..Default::default()
         },
     );
-    let producer = TensorProducer::spawn(
-        loader,
-        &ctx,
-        ProducerConfig {
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(ProducerConfig {
             endpoint: endpoint.clone(),
             epochs: EPOCHS,
             // Wide join window so the second process usually rubberbands
@@ -227,9 +242,9 @@ fn multi_process_ipc_shared_arena() {
             heartbeat_timeout: Duration::from_secs(5),
             first_consumer_timeout: Some(Duration::from_secs(60)),
             ..Default::default()
-        },
-    )
-    .expect("spawn producer");
+        })
+        .spawn(loader)
+        .expect("spawn producer");
 
     let exe = std::env::current_exe().expect("test binary path");
     let children: Vec<_> = out_paths
@@ -245,6 +260,7 @@ fn multi_process_ipc_shared_arena() {
                 .env("TS_MP_ENDPOINT", &endpoint)
                 .env("TS_MP_ARENA", &arena_path)
                 .env("TS_MP_OUT", out)
+                .env("TS_MP_PEERS", &peers)
                 .spawn()
                 .expect("spawn consumer process")
         })

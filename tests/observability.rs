@@ -402,7 +402,7 @@ fn gpu_staging_histograms_flow_through_the_scrape() {
 
 #[test]
 fn stats_replies_echo_the_request_sequence_stamp() {
-    // The v2 scrape protocol: each StatsRequest carries a sequence stamp
+    // The scrape protocol: each StatsRequest carries a sequence stamp
     // and the producer echoes it verbatim in the Stats reply, so a
     // scraper can tell the answer to its in-flight request from a late
     // duplicate of an earlier round.
@@ -617,8 +617,7 @@ fn watchdog_names_the_straggling_consumer_in_its_verdict() {
     // without acking. The producer's watchdog must classify the stall as
     // consumer-straggler, name the offending consumer id in its verdict,
     // and surface both through the scraped stats snapshot (verdict +
-    // `watchdog.stalls.consumer` counter + the v3 uptime/snapshot
-    // stamps).
+    // `watchdog.stalls.consumer` counter + the uptime/snapshot stamps).
     const STRAGGLER: u64 = 7777;
     let endpoint = ipc_endpoint("watchdog");
     let ctx = TsContext::host_only();
@@ -667,10 +666,10 @@ fn watchdog_names_the_straggling_consumer_in_its_verdict() {
         stats.counter("watchdog.stalls.consumer").unwrap_or(0) >= 1,
         "the stall must be counted"
     );
-    assert!(stats.uptime_ns > 0, "v3 snapshots carry producer uptime");
+    assert!(stats.uptime_ns > 0, "snapshots carry producer uptime");
     assert!(
         stats.snapshot_ns > 0,
-        "v3 snapshots carry a monotonic snapshot stamp"
+        "snapshots carry a monotonic snapshot stamp"
     );
 
     go.send(()).unwrap();

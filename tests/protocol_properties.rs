@@ -5,6 +5,7 @@ use tensorsocket::protocol::buffer::BatchWindow;
 use tensorsocket::protocol::flex::{covers_producer_batch, plan_flex};
 use tensorsocket::protocol::messages::{
     AnnounceContent, BatchAnnounce, CtrlMsg, DataMsg, FlexBatchPayload, JoinDecision, PayloadMode,
+    ReplayFrom,
 };
 use ts_baselines::DependentSampler;
 use ts_device::DeviceId;
@@ -170,6 +171,47 @@ proptest! {
         };
         let msg = DataMsg::JoinReply { consumer_id: id, decision };
         prop_assert_eq!(DataMsg::decode(&msg.encode()).unwrap(), msg);
+    }
+
+    /// Every field of every control message is required, whatever the
+    /// values: a frame round-trips, and no strict prefix of it decodes.
+    #[test]
+    fn ctrl_frames_reject_every_strict_prefix(
+        id in any::<u64>(),
+        a in any::<u32>(),
+        b in any::<u32>(),
+        seq in any::<u64>(),
+        tag in 0u8..9,
+        group in ".{0,24}",
+    ) {
+        let msg = match tag {
+            0 => CtrlMsg::Join {
+                consumer_id: id,
+                batch_size: a,
+                mode: if b % 2 == 0 { PayloadMode::Stream } else { PayloadMode::Shm },
+            },
+            1 => CtrlMsg::Ready { consumer_id: id },
+            2 => CtrlMsg::Ack { consumer_id: id, seq },
+            3 => CtrlMsg::Heartbeat { consumer_id: id },
+            4 => CtrlMsg::Leave { consumer_id: id },
+            5 => CtrlMsg::Hello { token: id, version: a, caps: b },
+            6 => CtrlMsg::StatsRequest { token: id, version: a, seq: seq as u32 },
+            7 => CtrlMsg::TraceRequest { token: id, version: a, seq: seq as u32, max: b },
+            _ => CtrlMsg::Replay {
+                consumer_id: id,
+                group,
+                from: match b % 3 {
+                    0 => ReplayFrom::Cursor,
+                    1 => ReplayFrom::Oldest,
+                    _ => ReplayFrom::Seq(seq),
+                },
+            },
+        };
+        let wire = msg.encode();
+        prop_assert_eq!(CtrlMsg::decode(&wire).unwrap(), msg);
+        for len in 0..wire.len() {
+            prop_assert!(CtrlMsg::decode(&wire[..len]).is_err(), "{}-byte prefix decoded", len);
+        }
     }
 
     /// Arbitrary byte soup never panics the decoders.
