@@ -169,6 +169,12 @@ pub struct Consumer {
     /// (an abort or detach with announces still in flight). Skipped, not
     /// fatal — the stream still ends on the producer's `End`.
     dangling_skipped: std::sync::Arc<ts_metrics::Counter>,
+    /// Pre-resolved per-batch counters (`consumer.batches`,
+    /// `consumer.samples`, `consumer.acks`): the hot path bumps them
+    /// without a registry lookup.
+    batches_counter: std::sync::Arc<ts_metrics::Counter>,
+    samples_counter: std::sync::Arc<ts_metrics::Counter>,
+    acks_counter: std::sync::Arc<ts_metrics::Counter>,
     /// When the previous batch was yielded, for inter-arrival timing.
     last_yield: Option<Instant>,
 }
@@ -279,6 +285,9 @@ impl Consumer {
             cursor_lag: ctx.metrics.gauge("consumer.cursor_lag"),
             data_unknown,
             dangling_skipped: ctx.metrics.counter("consumer.dangling_skipped"),
+            batches_counter: ctx.metrics.counter("consumer.batches"),
+            samples_counter: ctx.metrics.counter("consumer.samples"),
+            acks_counter: ctx.metrics.counter("consumer.acks"),
             last_yield: None,
         })
     }
@@ -526,7 +535,9 @@ impl Consumer {
     }
 
     /// Batch pointers currently buffered locally (the consumer-side batch
-    /// buffer of §3.2.5), summed over shard subscriptions.
+    /// buffer of §3.2.5), summed over shard subscriptions. Counts decoded
+    /// messages only: over `ipc://`/`tcp://`, announces still in the
+    /// kernel socket buffer are not read until the next receive.
     pub fn buffered(&self) -> usize {
         self.queue.len() + self.links.iter().map(|l| l.sub.queued()).sum::<usize>()
     }
@@ -839,7 +850,7 @@ impl Consumer {
                 }
                 .encode(),
             ));
-            self.ctx.metrics.counter("consumer.acks").inc();
+            self.acks_counter.inc();
         }
     }
 }
@@ -901,11 +912,8 @@ impl Consumer {
         }
         self.batches_consumed += 1;
         self.samples_consumed += batch.batch_size() as u64;
-        self.ctx.metrics.counter("consumer.batches").inc();
-        self.ctx
-            .metrics
-            .counter("consumer.samples")
-            .add(batch.batch_size() as u64);
+        self.batches_counter.inc();
+        self.samples_counter.add(batch.batch_size() as u64);
         Some(batch)
     }
 }

@@ -89,6 +89,9 @@ struct StageMetrics {
     /// Bytes the durable-log spiller appended (CRC-framed streamed
     /// records, written off the publish hot path). 0 with no log bound.
     log_append_bytes: Arc<Counter>,
+    /// `producer.batches`: batches published, summed over every pipeline
+    /// in the context (not namespaced).
+    batches: Arc<Counter>,
 }
 
 impl StageMetrics {
@@ -108,6 +111,7 @@ impl StageMetrics {
             publish_copy_bytes: metrics.counter(&format!("{prefix}publish_copy_bytes")),
             cursor_coalesced: metrics.counter(&format!("{prefix}cursor_coalesced")),
             log_append_bytes: metrics.counter(&format!("{prefix}log_append_bytes")),
+            batches: metrics.counter("producer.batches"),
         }
     }
 }
@@ -1630,7 +1634,7 @@ impl ProducerLoop {
         }
         self.stage.pin_depth.set(self.pinned.len() as f64);
         self.stats.batches_published += 1;
-        self.ctx.metrics.counter("producer.batches").inc();
+        self.stage.batches.inc();
         // Offer (never send) the publish cursor: the coalescing cell keeps
         // only the newest position, and housekeeping broadcasts it at a
         // bounded cadence off the hot path.

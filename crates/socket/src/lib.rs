@@ -30,11 +30,12 @@
 //!   binds an ephemeral port; read it back from
 //!   [`PubSocket::endpoint`]/[`PullSocket::endpoint`].
 //!
-//! Remote messages use the length-prefixed multipart framing of [`wire`];
-//! background reader/writer threads bridge each connection onto the same
-//! bounded queues the broker uses ([`transport`]), so HWM backpressure,
-//! prefix filtering and disconnect-as-[`RecvError::Closed`] behave the
-//! same everywhere. Bind/connect order does not matter on any transport.
+//! Remote messages use the length-prefixed multipart framing of [`wire`].
+//! Receivers read their sockets on the calling thread and senders write
+//! small messages inline, falling back to a per-peer bounded queue and
+//! writer thread only for what the kernel buffer cannot take
+//! ([`transport`]), so HWM backpressure, prefix filtering and
+//! disconnect-as-[`RecvError::Closed`] behave the same everywhere. Bind/connect order does not matter on any transport.
 //! Sockets unregister on drop, and peers observe disconnection as pruned
 //! deliveries rather than errors, like ZeroMQ.
 

@@ -15,6 +15,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What a publisher does when a subscriber queue hits its high-water mark.
+///
+/// On `inproc://` the queue is the subscriber's receive queue. On
+/// `ipc://`/`tcp://` it is the per-subscriber fallback queue of messages
+/// the kernel socket buffer could not take inline (see
+/// [`crate::transport`]); the receive side is bounded by the kernel buffer
+/// there, so a paused subscriber first fills its socket buffer, then this
+/// queue, and only then does the policy apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendPolicy {
     /// Wait for queue space (backpressure). TensorSocket's data socket uses
@@ -116,7 +123,8 @@ impl PubSocket {
     }
 
     /// Binds a publisher with an explicit policy and per-subscriber queue
-    /// capacity.
+    /// capacity (on stream transports, the fallback queue behind the
+    /// kernel socket buffer).
     pub fn bind_with(
         ctx: &Context,
         name: &str,
@@ -247,7 +255,7 @@ impl SubSocket {
             EndpointAddr::parse(name).unwrap_or_else(|e| panic!("invalid endpoint {name}: {e}"));
         if !addr.is_inproc() {
             return Self {
-                inner: SubInner::Stream(StreamSub::connect(addr, name, ctx.broker.default_hwm)),
+                inner: SubInner::Stream(StreamSub::connect(addr, name)),
             };
         }
         let mut eps = ctx.broker.endpoints.lock();
@@ -334,7 +342,10 @@ impl SubSocket {
         }
     }
 
-    /// Messages currently queued for this subscriber.
+    /// Messages currently queued for this subscriber. On stream
+    /// transports these are messages already read and decoded (for
+    /// example while [`SubSocket::subscribe`] awaited its acknowledgement);
+    /// bytes still in the kernel socket buffer are not counted.
     pub fn queued(&self) -> usize {
         match &self.inner {
             SubInner::Broker(b) => b.rx.len(),

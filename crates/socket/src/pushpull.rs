@@ -73,7 +73,7 @@ impl PullSocket {
         let addr = EndpointAddr::parse(name)?;
         if !addr.is_inproc() {
             return Ok(Self {
-                inner: PullInner::Stream(StreamPull::bind(&addr, name, ctx.broker.default_hwm)?),
+                inner: PullInner::Stream(StreamPull::bind(&addr, name)?),
             });
         }
         ensure_endpoint(ctx, name)?;
@@ -130,7 +130,9 @@ impl PullSocket {
         out
     }
 
-    /// Messages currently queued.
+    /// Messages currently queued. On stream transports these are messages
+    /// already read and decoded; bytes still in the kernel socket buffers
+    /// are not counted.
     pub fn queued(&self) -> usize {
         match &self.inner {
             PullInner::Broker(b) => b.rx.len(),

@@ -1,42 +1,37 @@
 //! PUB/SUB over `ipc://`/`tcp://` streams.
 //!
-//! The publisher accepts connections; each connected subscriber gets a
-//! bounded queue (the socket HWM) drained by a dedicated writer thread,
-//! and a reader thread that processes `SUB`/`UNSUB` control messages.
-//! Prefix filtering happens publisher-side, so only matching topics cross
-//! the wire. Subscribes are acknowledged (`SUBACK`) so a subscriber can
-//! order a subscription strictly before its next control-plane message.
+//! The publisher accepts connections; each connected subscriber gets an
+//! [`Outbox`] (inline sends, plus a bounded fallback queue drained by a
+//! writer thread) and a reader thread that processes `SUB`/`UNSUB`
+//! control messages. Prefix filtering happens publisher-side, so only
+//! matching topics cross the wire. Subscribes are acknowledged (`SUBACK`)
+//! so a subscriber can order a subscription strictly before its next
+//! control-plane message. The subscriber reads its connection on the
+//! calling thread.
 
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
 use crate::pubsub::SendPolicy;
-use crate::transport::{AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY};
-use crate::wire;
+use crate::transport::{
+    poll, AnyListener, AnyStream, EndpointAddr, Offer, Outbox, CONNECT_RETRY_FOR, POLL_EVERY,
+};
+use crate::wire::{self, FrameBuf};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use std::collections::VecDeque;
 use std::io::BufReader;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How long a blocking subscribe waits for its `SUBACK`.
 const SUBSCRIBE_ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
-enum PeerItem {
-    Data(Bytes, Multipart),
-    SubAck(u64),
-}
-
 struct Peer {
     id: u64,
     alive: AtomicBool,
     prefixes: Mutex<Vec<Vec<u8>>>,
-    tx: Sender<PeerItem>,
+    outbox: Outbox,
     stream: AnyStream,
-    /// Messages accepted into the queue / flushed to the socket. Drop
-    /// uses the pair to linger until queued messages reach the wire.
-    queued: AtomicU64,
-    written: AtomicU64,
 }
 
 impl Peer {
@@ -115,7 +110,8 @@ impl StreamPub {
 
     pub(crate) fn send(&self, topic: &[u8], msg: Multipart) -> Result<usize, SendError> {
         let peers: Vec<Arc<Peer>> = self.shared.peers.lock().expect("peers").clone();
-        let topic_bytes = Bytes::copy_from_slice(topic);
+        // Encoded once, on first match, and shared by every peer.
+        let mut encoded: Option<Arc<Vec<u8>>> = None;
         let mut delivered = 0usize;
         let mut dead = Vec::new();
         for peer in &peers {
@@ -126,23 +122,12 @@ impl StreamPub {
             if !peer.matches(topic) {
                 continue;
             }
-            let item = PeerItem::Data(topic_bytes.clone(), msg.clone());
-            match self.policy {
-                SendPolicy::Block => match peer.tx.send(item) {
-                    Ok(()) => {
-                        peer.queued.fetch_add(1, Ordering::SeqCst);
-                        delivered += 1;
-                    }
-                    Err(_) => dead.push(peer.id),
-                },
-                SendPolicy::DropNewest => match peer.tx.try_send(item) {
-                    Ok(()) => {
-                        peer.queued.fetch_add(1, Ordering::SeqCst);
-                        delivered += 1;
-                    }
-                    Err(TrySendError::Full(_)) => {}
-                    Err(TrySendError::Disconnected(_)) => dead.push(peer.id),
-                },
+            let bytes =
+                encoded.get_or_insert_with(|| Arc::new(wire::encode_topic_data(topic, &msg)));
+            match peer.outbox.offer(bytes, self.policy == SendPolicy::Block) {
+                Offer::Taken => delivered += 1,
+                Offer::Full => {}
+                Offer::Dead => dead.push(peer.id),
             }
         }
         if !dead.is_empty() {
@@ -171,10 +156,9 @@ impl Drop for StreamPub {
         loop {
             let unflushed = {
                 let peers = self.shared.peers.lock().expect("peers");
-                peers.iter().any(|p| {
-                    p.alive.load(Ordering::SeqCst)
-                        && p.written.load(Ordering::SeqCst) < p.queued.load(Ordering::SeqCst)
-                })
+                peers
+                    .iter()
+                    .any(|p| p.alive.load(Ordering::SeqCst) && p.outbox.has_backlog())
             };
             if !unflushed || Instant::now() >= deadline {
                 break;
@@ -209,54 +193,26 @@ fn accept_loop(listener: AnyListener, shared: Arc<PubShared>) {
 fn add_peer(shared: &Arc<PubShared>, stream: AnyStream) -> std::io::Result<()> {
     let write_half = stream.try_clone()?;
     let read_half = stream.try_clone()?;
-    let (tx, rx) = channel::bounded::<PeerItem>(shared.hwm);
+    let (outbox, writer) = Outbox::new(shared.hwm);
     let peer = Arc::new(Peer {
         id: shared.next_id.fetch_add(1, Ordering::SeqCst),
         alive: AtomicBool::new(true),
         prefixes: Mutex::new(Vec::new()),
-        tx,
+        outbox,
         stream,
-        queued: AtomicU64::new(0),
-        written: AtomicU64::new(0),
     });
     shared.peers.lock().expect("peers").push(peer.clone());
 
-    let writer_peer = peer.clone();
+    // Exits once the peer (and with it the outbox's queue) is dropped.
     std::thread::Builder::new()
         .name("ts-pub-writer".into())
-        .spawn(move || peer_writer(write_half, rx, writer_peer))?;
+        .spawn(move || writer.run(write_half))?;
 
     let reader_shared = shared.clone();
     std::thread::Builder::new()
         .name("ts-pub-reader".into())
         .spawn(move || peer_reader(read_half, peer, reader_shared))?;
     Ok(())
-}
-
-fn peer_writer(mut stream: AnyStream, rx: Receiver<PeerItem>, peer: Arc<Peer>) {
-    loop {
-        let item = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(item) => item,
-            Err(RecvTimeoutError::Timeout) => {
-                if peer.alive.load(Ordering::SeqCst) {
-                    continue;
-                }
-                break;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let result = match item {
-            PeerItem::Data(topic, msg) => wire::write_topic_data(&mut stream, &topic, &msg),
-            PeerItem::SubAck(req) => {
-                wire::write_message(&mut stream, wire::KIND_SUBACK, &[&req.to_le_bytes()])
-            }
-        };
-        if result.is_err() {
-            break;
-        }
-        peer.written.fetch_add(1, Ordering::SeqCst);
-    }
-    peer.retire();
 }
 
 fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
@@ -268,16 +224,15 @@ fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
         };
         match msg.kind {
             wire::KIND_SUB if msg.frames.len() == 2 && msg.frames[1].len() == 8 => {
-                let req = u64::from_le_bytes(msg.frames[1][..].try_into().expect("8 bytes"));
                 peer.prefixes
                     .lock()
                     .expect("peer prefixes")
                     .push(msg.frames[0].to_vec());
                 // Ack once the prefix is visible to `send`.
-                if peer.tx.send(PeerItem::SubAck(req)).is_err() {
+                let ack = wire::encode_message(wire::KIND_SUBACK, &[&msg.frames[1]]);
+                if peer.outbox.offer(&Arc::new(ack), true) == Offer::Dead {
                     break;
                 }
-                peer.queued.fetch_add(1, Ordering::SeqCst);
             }
             wire::KIND_UNSUB if msg.frames.len() == 1 => {
                 let mut prefixes = peer.prefixes.lock().expect("peer prefixes");
@@ -303,6 +258,8 @@ fn peer_reader(read_half: AnyStream, peer: Arc<Peer>, shared: Arc<PubShared>) {
 struct SubState {
     /// Write half once connected.
     writer: Option<AnyStream>,
+    /// The read half, from the connector until the first receive takes it.
+    handover: Option<AnyStream>,
     /// Locally recorded prefixes (flushed on connect).
     prefixes: Vec<Vec<u8>>,
     /// Highest `SUBACK` request id seen.
@@ -311,8 +268,17 @@ struct SubState {
     /// a subscribe that recorded its prefix pre-connection waits for this
     /// instead of re-sending (re-sending would register a duplicate).
     flushed_req: u64,
-    /// True after the connector gave up (never connected).
+    /// True once the connection is gone (or was never made).
     failed: bool,
+}
+
+/// The receive side, driven by whichever thread is receiving.
+struct SubReader {
+    stream: Option<AnyStream>,
+    buf: FrameBuf,
+    /// Decoded data messages not yet returned.
+    ready: VecDeque<(Bytes, Multipart)>,
+    closed: bool,
 }
 
 struct SubShared {
@@ -320,22 +286,25 @@ struct SubShared {
     state: Mutex<SubState>,
     cond: Condvar,
     next_req: AtomicU64,
+    /// Lock order: `reader` before `state`.
+    reader: Mutex<SubReader>,
+    /// `reader.ready.len()`, readable while another thread receives.
+    ready_len: AtomicUsize,
 }
 
 /// The stream-transport subscribing side.
 pub(crate) struct StreamSub {
     shared: Arc<SubShared>,
-    rx: Receiver<(Bytes, Multipart)>,
     endpoint: String,
 }
 
 impl StreamSub {
-    pub(crate) fn connect(addr: EndpointAddr, endpoint: &str, hwm: usize) -> StreamSub {
-        let (tx, rx) = channel::bounded(hwm);
+    pub(crate) fn connect(addr: EndpointAddr, endpoint: &str) -> StreamSub {
         let shared = Arc::new(SubShared {
             stop: AtomicBool::new(false),
             state: Mutex::new(SubState {
                 writer: None,
+                handover: None,
                 prefixes: Vec::new(),
                 acked: 0,
                 flushed_req: 0,
@@ -343,15 +312,21 @@ impl StreamSub {
             }),
             cond: Condvar::new(),
             next_req: AtomicU64::new(1),
+            reader: Mutex::new(SubReader {
+                stream: None,
+                buf: FrameBuf::new(),
+                ready: VecDeque::new(),
+                closed: false,
+            }),
+            ready_len: AtomicUsize::new(0),
         });
         let conn_shared = shared.clone();
         std::thread::Builder::new()
             .name("ts-sub-conn".into())
-            .spawn(move || sub_connection(addr, conn_shared, tx))
+            .spawn(move || sub_connect(addr, conn_shared))
             .expect("spawn subscriber connector");
         StreamSub {
             shared,
-            rx,
             endpoint: endpoint.to_string(),
         }
     }
@@ -362,7 +337,9 @@ impl StreamSub {
 
     /// Registers a prefix. Blocks (bounded) until the publisher has
     /// acknowledged it, so anything sent on another connection *after*
-    /// this returns cannot race ahead of the subscription.
+    /// this returns cannot race ahead of the subscription. Data messages
+    /// read while waiting for the acknowledgement stay queued for
+    /// `recv`.
     pub(crate) fn subscribe(&self, prefix: &[u8]) {
         let deadline = Instant::now() + SUBSCRIBE_ACK_TIMEOUT;
         let mut state = self.shared.state.lock().expect("sub state");
@@ -400,17 +377,30 @@ impl StreamSub {
             }
             req
         };
-        while state.acked < req {
+        drop(state);
+        // Nobody reads the connection but a receiving thread: read it
+        // here unless another thread already is (it records the ack).
+        loop {
+            {
+                let state = self.shared.state.lock().expect("sub state");
+                if state.acked >= req || state.failed {
+                    return;
+                }
+            }
             let now = Instant::now();
             if now >= deadline || self.shared.stop.load(Ordering::SeqCst) {
                 return;
             }
-            let (guard, _) = self
-                .shared
-                .cond
-                .wait_timeout(state, deadline - now)
-                .expect("sub state");
-            state = guard;
+            let wait = (deadline - now).min(Duration::from_millis(10));
+            match self.shared.reader.try_lock() {
+                Ok(mut reader) => self.pump(&mut reader, wait),
+                Err(_) => {
+                    let state = self.shared.state.lock().expect("sub state");
+                    if state.acked < req && !state.failed {
+                        let _ = self.shared.cond.wait_timeout(state, wait);
+                    }
+                }
+            }
         }
     }
 
@@ -425,23 +415,112 @@ impl StreamSub {
     }
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<(Bytes, Multipart), RecvError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        let deadline = Instant::now() + timeout;
+        let mut reader = self.shared.reader.lock().expect("sub reader");
+        loop {
+            if let Some(m) = reader.ready.pop_front() {
+                self.shared.ready_len.fetch_sub(1, Ordering::SeqCst);
+                return Ok(m);
+            }
+            if reader.closed {
+                return Err(RecvError::Closed);
+            }
+            let now = Instant::now();
+            // A zero timeout still takes one non-blocking look.
+            if now >= deadline && !timeout.is_zero() {
+                return Err(RecvError::Timeout);
+            }
+            self.pump(&mut reader, deadline.saturating_duration_since(now));
+            if timeout.is_zero() && reader.ready.is_empty() && !reader.closed {
+                return Err(RecvError::Timeout);
+            }
         }
     }
 
     pub(crate) fn try_recv(&self) -> Result<Option<(Bytes, Multipart)>, RecvError> {
-        match self.rx.try_recv() {
+        match self.recv_timeout(Duration::ZERO) {
             Ok(m) => Ok(Some(m)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Closed),
+            Err(RecvError::Timeout) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
+    /// Decoded messages waiting for `recv` (not kernel-buffered bytes).
     pub(crate) fn queued(&self) -> usize {
-        self.rx.len()
+        self.shared.ready_len.load(Ordering::SeqCst)
+    }
+
+    /// Waits up to `wait` for the connection to have bytes, reads what it
+    /// has and decodes every whole message: data into `ready`, `SUBACK`s
+    /// into the shared state.
+    fn pump(&self, reader: &mut SubReader, wait: Duration) {
+        if reader.stream.is_none() {
+            let mut state = self.shared.state.lock().expect("sub state");
+            if state.handover.is_none() && !state.failed {
+                state = self
+                    .shared
+                    .cond
+                    .wait_timeout(state, wait)
+                    .expect("sub state")
+                    .0;
+            }
+            reader.stream = state.handover.take();
+            if reader.stream.is_none() {
+                reader.closed = state.failed;
+                return;
+            }
+        }
+        let SubReader {
+            stream, buf, ready, ..
+        } = reader;
+        let stream = stream.as_mut().expect("connected");
+        let mut fds = [stream.poll_fd()];
+        let mut healthy = match poll(&mut fds, wait) {
+            Ok(0) => return,
+            Ok(_) => stream.read_into(buf),
+            Err(_) => false,
+        };
+        let mut acked = None;
+        loop {
+            match buf.next_message() {
+                Ok(Some(msg)) => match msg.kind {
+                    wire::KIND_DATA => {
+                        if let Some(m) = msg.into_topic_and_payload() {
+                            ready.push_back(m);
+                            self.shared.ready_len.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    wire::KIND_SUBACK if msg.frames.len() == 1 && msg.frames[0].len() == 8 => {
+                        let req =
+                            u64::from_le_bytes(msg.frames[0][..].try_into().expect("8 bytes"));
+                        acked = acked.max(Some(req));
+                    }
+                    _ => {}
+                },
+                Ok(None) => break,
+                Err(_) => {
+                    healthy = false;
+                    break;
+                }
+            }
+        }
+        if acked.is_none() && healthy {
+            return;
+        }
+        let mut state = self.shared.state.lock().expect("sub state");
+        if let Some(req) = acked {
+            state.acked = state.acked.max(req);
+        }
+        if !healthy {
+            // Connection gone: future subscribe calls must not wait
+            // forever, and `recv` reports `Closed` once `ready` drains.
+            reader.closed = true;
+            state.failed = true;
+            if let Some(writer) = state.writer.take() {
+                writer.shutdown();
+            }
+        }
+        self.shared.cond.notify_all();
     }
 }
 
@@ -456,68 +535,31 @@ impl Drop for StreamSub {
     }
 }
 
-fn sub_connection(addr: EndpointAddr, shared: Arc<SubShared>, tx: Sender<(Bytes, Multipart)>) {
+/// Connects, flushes the prefixes recorded so far, hands the connection
+/// to the receive path and exits.
+fn sub_connect(addr: EndpointAddr, shared: Arc<SubShared>) {
     let give_up = {
         let shared = shared.clone();
         move || shared.stop.load(Ordering::SeqCst)
     };
-    let stream = match AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up) {
-        Ok(s) => s,
-        Err(_) => {
-            let mut state = shared.state.lock().expect("sub state");
-            state.failed = true;
-            shared.cond.notify_all();
-            return; // tx drops: receiver observes Closed
-        }
-    };
-    let read_half = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    // Flush prefixes recorded before the connection existed, then expose
-    // the writer.
-    {
-        let mut state = shared.state.lock().expect("sub state");
-        let mut writer = stream;
-        let mut last_req = 0;
-        for prefix in state.prefixes.clone() {
-            let req = shared.next_req.fetch_add(1, Ordering::SeqCst);
-            let _ =
-                wire::write_message(&mut writer, wire::KIND_SUB, &[&prefix, &req.to_le_bytes()]);
-            last_req = req;
-        }
-        state.flushed_req = last_req;
-        state.writer = Some(writer);
-        shared.cond.notify_all();
-    }
-    let mut reader = BufReader::new(read_half);
-    while !shared.stop.load(Ordering::SeqCst) {
-        let msg = match wire::read_message(&mut reader) {
-            Ok(m) => m,
-            Err(_) => break,
-        };
-        match msg.kind {
-            wire::KIND_DATA => {
-                if let Some((topic, payload)) = msg.into_topic_and_payload() {
-                    if tx.send((topic, payload)).is_err() {
-                        break; // subscriber dropped
-                    }
-                }
-            }
-            wire::KIND_SUBACK if msg.frames.len() == 1 && msg.frames[0].len() == 8 => {
-                let req = u64::from_le_bytes(msg.frames[0][..].try_into().expect("8 bytes"));
-                let mut state = shared.state.lock().expect("sub state");
-                state.acked = state.acked.max(req);
-                shared.cond.notify_all();
-            }
-            _ => {}
-        }
-    }
-    // Reader gone: future subscribe calls must not wait forever.
+    let connected = AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up)
+        .and_then(|s| Ok((s.try_clone()?, s)));
     let mut state = shared.state.lock().expect("sub state");
-    state.failed = true;
-    if let Some(writer) = state.writer.take() {
-        writer.shutdown();
+    match connected {
+        Ok((read_half, mut writer)) => {
+            let mut last_req = 0;
+            for prefix in &state.prefixes {
+                let req = shared.next_req.fetch_add(1, Ordering::SeqCst);
+                let _ =
+                    wire::write_message(&mut writer, wire::KIND_SUB, &[prefix, &req.to_le_bytes()]);
+                last_req = req;
+            }
+            state.flushed_req = last_req;
+            state.writer = Some(writer);
+            state.handover = Some(read_half);
+        }
+        // Never connected: receivers observe `Closed`.
+        Err(_) => state.failed = true,
     }
     shared.cond.notify_all();
 }

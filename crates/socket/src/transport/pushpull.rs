@@ -1,62 +1,64 @@
 //! PUSH/PULL over `ipc://`/`tcp://` streams.
 //!
-//! The puller binds and accepts many pushers; every connection's reader
-//! thread feeds one shared bounded queue (fan-in). Pushers enqueue into a
-//! local bounded queue drained by a writer thread, so `send` applies HWM
-//! backpressure and `try_send` reports `Full` exactly like the broker
-//! path. A pusher that connects before the puller binds simply buffers —
-//! its connector retries in the background.
+//! The puller binds and accepts many pushers (fan-in). It has no threads:
+//! `recv_timeout`/`try_recv` poll the listener together with every
+//! connection, accept inline, and decode whatever the connections have.
+//! Each pusher sends through an [`Outbox`]: inline while nothing is
+//! queued, otherwise through a bounded queue drained by its writer thread,
+//! so `send` applies HWM backpressure and `try_send` reports `Full`
+//! exactly like the broker path. A pusher that connects before the puller
+//! binds simply queues — its writer thread retries the connect in the
+//! background.
 
 use crate::error::{RecvError, SendError};
 use crate::frame::Multipart;
-use crate::transport::{AnyListener, AnyStream, EndpointAddr, CONNECT_RETRY_FOR, POLL_EVERY};
-use crate::wire;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
-use std::io::BufReader;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::transport::{
+    poll, AnyListener, AnyStream, EndpointAddr, Offer, Outbox, PollFd, CONNECT_RETRY_FOR,
+};
+use crate::wire::{self, FrameBuf};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-struct PullShared {
-    stop: AtomicBool,
-    /// Live connections by id; readers remove their entry on exit so
-    /// long-lived pullers do not leak one fd per departed pusher.
-    conns: Mutex<Vec<(u64, AnyStream)>>,
+struct PullConn {
+    stream: AnyStream,
+    buf: FrameBuf,
+}
+
+/// The receive side, driven by whichever thread is receiving.
+struct PullState {
+    /// `None` once accepting failed; no new pushers after that.
+    listener: Option<AnyListener>,
+    conns: Vec<PullConn>,
+    /// Decoded messages not yet returned.
+    ready: VecDeque<Multipart>,
+    fds: Vec<PollFd>,
 }
 
 /// The stream-transport receiving side.
 pub(crate) struct StreamPull {
-    shared: Arc<PullShared>,
-    rx: Receiver<Multipart>,
+    state: Mutex<PullState>,
+    /// `state.ready.len()`, readable while another thread receives.
+    ready_len: AtomicUsize,
     endpoint: String,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl StreamPull {
-    pub(crate) fn bind(
-        addr: &EndpointAddr,
-        endpoint: &str,
-        hwm: usize,
-    ) -> Result<StreamPull, SendError> {
+    pub(crate) fn bind(addr: &EndpointAddr, endpoint: &str) -> Result<StreamPull, SendError> {
         let listener = AnyListener::bind(addr)?;
         let endpoint = listener
             .local_endpoint()
             .unwrap_or_else(|| endpoint.to_string());
-        let (tx, rx) = channel::bounded(hwm);
-        let shared = Arc::new(PullShared {
-            stop: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-        });
-        let accept_shared = shared.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("ts-pull-accept".into())
-            .spawn(move || pull_accept_loop(listener, accept_shared, tx))
-            .map_err(|e| SendError::Io(format!("spawn accept: {e}")))?;
         Ok(StreamPull {
-            shared,
-            rx,
+            state: Mutex::new(PullState {
+                listener: Some(listener),
+                conns: Vec::new(),
+                ready: VecDeque::new(),
+                fds: Vec::new(),
+            }),
+            ready_len: AtomicUsize::new(0),
             endpoint,
-            accept_thread: Some(accept_thread),
         })
     }
 
@@ -65,85 +67,104 @@ impl StreamPull {
     }
 
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Multipart, RecvError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        let deadline = Instant::now() + timeout;
+        let mut state = self.state.lock().expect("pull state");
+        loop {
+            if let Some(m) = state.ready.pop_front() {
+                self.ready_len.fetch_sub(1, Ordering::SeqCst);
+                return Ok(m);
+            }
+            if state.listener.is_none() && state.conns.is_empty() {
+                return Err(RecvError::Closed);
+            }
+            let now = Instant::now();
+            // A zero timeout still takes one non-blocking look.
+            if now >= deadline && !timeout.is_zero() {
+                return Err(RecvError::Timeout);
+            }
+            self.pump(&mut state, deadline.saturating_duration_since(now));
+            if timeout.is_zero() && state.ready.is_empty() {
+                return Err(RecvError::Timeout);
+            }
         }
     }
 
     pub(crate) fn try_recv(&self) -> Result<Option<Multipart>, RecvError> {
-        match self.rx.try_recv() {
+        match self.recv_timeout(Duration::ZERO) {
             Ok(m) => Ok(Some(m)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(RecvError::Closed),
+            Err(RecvError::Timeout) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
+    /// Decoded messages waiting for `recv` (not kernel-buffered bytes).
     pub(crate) fn queued(&self) -> usize {
-        self.rx.len()
+        self.ready_len.load(Ordering::SeqCst)
     }
-}
 
-impl Drop for StreamPull {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for (_, conn) in self.shared.conns.lock().expect("pull conns").drain(..) {
-            conn.shutdown();
+    /// One `poll` over the listener and every connection (waiting up to
+    /// `wait`): accepts pending pushers, reads every ready connection and
+    /// decodes its whole messages into `ready`. Connections that ended or
+    /// sent malformed framing are dropped.
+    fn pump(&self, state: &mut PullState, wait: Duration) {
+        let PullState {
+            listener,
+            conns,
+            ready,
+            fds,
+        } = state;
+        fds.clear();
+        fds.extend(listener.iter().map(AnyListener::poll_fd));
+        fds.extend(conns.iter().map(|c| c.stream.poll_fd()));
+        if !matches!(poll(fds, wait), Ok(n) if n > 0) {
+            return;
         }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn pull_accept_loop(listener: AnyListener, shared: Arc<PullShared>, tx: Sender<Multipart>) {
-    let mut next_id = 0u64;
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(Some(stream)) => {
-                let Ok(read_half) = stream.try_clone() else {
-                    continue;
-                };
-                let id = next_id;
-                next_id += 1;
-                shared.conns.lock().expect("pull conns").push((id, stream));
-                let conn_tx = tx.clone();
-                let conn_shared = shared.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("ts-pull-reader".into())
-                    .spawn(move || pull_reader(id, read_half, conn_shared, conn_tx));
-                if spawned.is_err() {
-                    break;
+        let (listener_fd, conn_fds) = fds.split_at(listener.is_some() as usize);
+        let mut fd = conn_fds.iter();
+        conns.retain_mut(|conn| {
+            !fd.next().is_some_and(PollFd::ready) || read_conn(conn, ready, &self.ready_len)
+        });
+        if listener_fd.first().is_some_and(PollFd::ready) {
+            // Accept everything pending; new connections are read on the
+            // next pass.
+            loop {
+                match listener.as_ref().map(AnyListener::accept) {
+                    Some(Ok(Some(stream))) => conns.push(PullConn {
+                        stream,
+                        buf: FrameBuf::new(),
+                    }),
+                    Some(Ok(None)) | None => break,
+                    Some(Err(_)) => {
+                        *listener = None;
+                        break;
+                    }
                 }
             }
-            Ok(None) => std::thread::sleep(POLL_EVERY),
-            Err(_) => break,
         }
     }
-    // tx (the accept loop's clone) drops here; the queue closes once the
-    // last connection reader exits too.
 }
 
-fn pull_reader(id: u64, read_half: AnyStream, shared: Arc<PullShared>, tx: Sender<Multipart>) {
-    let mut reader = BufReader::new(read_half);
-    while !shared.stop.load(Ordering::SeqCst) {
-        let msg = match wire::read_message(&mut reader) {
-            Ok(m) => m,
-            Err(_) => break,
-        };
-        if let Some(payload) = msg.into_payload() {
-            if tx.send(payload).is_err() {
-                break;
-            }
-        }
+/// Reads one ready connection and decodes its whole messages; false when
+/// the connection is finished.
+fn read_conn(
+    conn: &mut PullConn,
+    ready: &mut VecDeque<Multipart>,
+    ready_len: &AtomicUsize,
+) -> bool {
+    if !conn.stream.read_into(&mut conn.buf) {
+        return false;
     }
-    // Close and forget this pusher's connection so a long-lived puller
-    // does not accumulate dead fds.
-    let mut conns = shared.conns.lock().expect("pull conns");
-    if let Some(pos) = conns.iter().position(|(cid, _)| *cid == id) {
-        let (_, conn) = conns.remove(pos);
-        conn.shutdown();
+    loop {
+        match conn.buf.next_message() {
+            Ok(Some(msg)) => {
+                if let Some(payload) = msg.into_payload() {
+                    ready.push_back(payload);
+                    ready_len.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            Ok(None) => return true,
+            Err(_) => return false,
+        }
     }
 }
 
@@ -151,39 +172,45 @@ fn pull_reader(id: u64, read_half: AnyStream, shared: Arc<PullShared>, tx: Sende
 // push side
 // ---------------------------------------------------------------------------
 
-struct PushShared {
-    stop: AtomicBool,
-}
-
 /// The stream-transport sending side.
 pub(crate) struct StreamPush {
-    tx: Sender<Multipart>,
-    shared: Arc<PushShared>,
+    outbox: Outbox,
+    stop: Arc<AtomicBool>,
 }
 
 impl StreamPush {
     pub(crate) fn connect(addr: EndpointAddr, hwm: usize) -> StreamPush {
-        let (tx, rx) = channel::bounded(hwm);
-        let shared = Arc::new(PushShared {
-            stop: AtomicBool::new(false),
-        });
-        let writer_shared = shared.clone();
+        let (outbox, writer) = Outbox::new(hwm);
+        let stop = Arc::new(AtomicBool::new(false));
+        let give_up = stop.clone();
         std::thread::Builder::new()
             .name("ts-push-writer".into())
-            .spawn(move || push_writer(addr, writer_shared, rx))
+            .spawn(move || {
+                // On failure the writer half drops: senders observe
+                // `Disconnected`.
+                if let Ok(conn) = AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, || {
+                    give_up.load(Ordering::SeqCst)
+                }) {
+                    writer.run(conn);
+                }
+            })
             .expect("spawn push writer");
-        StreamPush { tx, shared }
+        StreamPush { outbox, stop }
     }
 
     pub(crate) fn send(&self, msg: Multipart) -> Result<(), SendError> {
-        self.tx.send(msg).map_err(|_| SendError::Disconnected)
+        self.offer(msg, true)
     }
 
     pub(crate) fn try_send(&self, msg: Multipart) -> Result<(), SendError> {
-        match self.tx.try_send(msg) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => Err(SendError::Full),
-            Err(TrySendError::Disconnected(_)) => Err(SendError::Disconnected),
+        self.offer(msg, false)
+    }
+
+    fn offer(&self, msg: Multipart, block: bool) -> Result<(), SendError> {
+        match self.outbox.offer(&Arc::new(wire::encode_data(&msg)), block) {
+            Offer::Taken => Ok(()),
+            Offer::Full => Err(SendError::Full),
+            Offer::Dead => Err(SendError::Disconnected),
         }
     }
 }
@@ -191,29 +218,7 @@ impl StreamPush {
 impl Drop for StreamPush {
     fn drop(&mut self) {
         // Abort a pending connect; a live writer drains the queue (the
-        // sender side closing wakes it) and then exits.
-        self.shared.stop.store(true, Ordering::SeqCst);
+        // outbox closing wakes it) and then exits.
+        self.stop.store(true, Ordering::SeqCst);
     }
-}
-
-fn push_writer(addr: EndpointAddr, shared: Arc<PushShared>, rx: Receiver<Multipart>) {
-    let give_up = {
-        let shared = shared.clone();
-        move || shared.stop.load(Ordering::SeqCst)
-    };
-    let mut stream = match AnyStream::connect_retry(&addr, CONNECT_RETRY_FOR, give_up) {
-        Ok(s) => s,
-        Err(_) => return, // rx drops: senders observe Disconnected
-    };
-    loop {
-        let msg = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if wire::write_data(&mut stream, &msg).is_err() {
-            break; // peer gone: rx drops, senders observe Disconnected
-        }
-    }
-    stream.shutdown();
 }

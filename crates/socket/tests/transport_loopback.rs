@@ -254,3 +254,116 @@ fn tcp_double_bind_rejected() {
         ts_socket::SendError::AddrInUse(_) | ts_socket::SendError::Io(_)
     ));
 }
+
+/// A distinctive payload: `len` bytes derived from `tag`.
+fn patterned(tag: u32, len: usize) -> Multipart {
+    let bytes = (0..len)
+        .map(|i| (tag as usize * 31 + i) as u8)
+        .collect::<Vec<u8>>();
+    Multipart::single(Bytes::from(bytes))
+}
+
+#[test]
+fn ipc_oversized_sends_to_paused_subscriber_arrive_whole_in_order() {
+    let ctx = Context::new();
+    let endpoint = ipc_endpoint("paused");
+    let publisher = PubSocket::bind(&ctx, &endpoint).unwrap();
+    let paused = SubSocket::connect(&ctx, &endpoint);
+    paused.subscribe(b"");
+    let reading = SubSocket::connect(&ctx, &endpoint);
+    reading.subscribe(b"");
+    // A run of messages small enough to go inline — the paused peer's
+    // kernel buffer fills part-way through one of them — then one far
+    // larger than any socket buffer, then tiny ones.
+    let sizes: Vec<usize> = std::iter::repeat_n(60 << 10, 40)
+        .chain(std::iter::once(4 << 20))
+        .chain(std::iter::repeat_n(16, 10))
+        .collect();
+    let expected: Vec<Multipart> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| patterned(i as u32, len))
+        .collect();
+    let reader = {
+        let expected = expected.clone();
+        std::thread::spawn(move || {
+            for want in &expected {
+                let (_, got) = reading.recv_timeout(RECV).unwrap();
+                assert_eq!(&got, want);
+            }
+        })
+    };
+    for msg in &expected {
+        assert_eq!(publisher.send(b"t", msg.clone()).unwrap(), 2);
+    }
+    // The reading subscriber is not held up by the paused one.
+    reader.join().unwrap();
+    for (i, want) in expected.iter().enumerate() {
+        let (_, got) = paused.recv_timeout(RECV).unwrap();
+        assert_eq!(&got, want, "message {i} arrived whole and in order");
+    }
+    assert!(paused.try_recv().unwrap().is_none());
+}
+
+#[test]
+fn ipc_pull_blocked_in_recv_accepts_a_late_pusher() {
+    let ctx = Context::new();
+    let endpoint = ipc_endpoint("latepush");
+    let pull = PullSocket::bind(&ctx, &endpoint).unwrap();
+    let pusher = {
+        let ctx = ctx.clone();
+        let endpoint = endpoint.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            let push = PushSocket::connect(&ctx, &endpoint);
+            push.send(msg(&[b"late"])).unwrap();
+            push // kept alive until the message is received
+        })
+    };
+    let started = Instant::now();
+    let got = pull.recv_timeout(RECV).unwrap();
+    assert_eq!(&got.frames()[0][..], b"late");
+    assert!(started.elapsed() < RECV);
+    drop(pusher.join().unwrap());
+}
+
+#[test]
+fn ipc_sub_recv_timing_out_mid_frame_completes_it_next_call() {
+    use std::io::Write;
+    use ts_socket::wire;
+    let ctx = Context::new();
+    let endpoint = ipc_endpoint("midframe");
+    let path = endpoint.strip_prefix("ipc://").unwrap().to_string();
+    let _ = std::fs::remove_file(&path);
+    let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+    let sub = SubSocket::connect(&ctx, &endpoint);
+    let encoded = wire::encode_topic_data(b"topic", &msg(&[b"first-frame", b"second-frame"]));
+    let (half_sent, half_sent_rx) = std::sync::mpsc::channel();
+    let (finish, finish_rx) = std::sync::mpsc::channel::<()>();
+    // A hand-rolled publisher: acks the subscription, then sends one
+    // message in two pieces split inside a frame.
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let sub_req = wire::read_message(&mut conn).unwrap();
+        assert_eq!(sub_req.kind, wire::KIND_SUB);
+        wire::write_message(&mut conn, wire::KIND_SUBACK, &[&sub_req.frames[1]]).unwrap();
+        let cut = encoded.len() - 5;
+        conn.write_all(&encoded[..cut]).unwrap();
+        half_sent.send(()).unwrap();
+        finish_rx.recv().unwrap();
+        conn.write_all(&encoded[cut..]).unwrap();
+        conn
+    });
+    sub.subscribe(b"");
+    half_sent_rx.recv().unwrap();
+    assert!(matches!(
+        sub.recv_timeout(Duration::from_millis(100)),
+        Err(RecvError::Timeout)
+    ));
+    finish.send(()).unwrap();
+    let (topic, got) = sub.recv_timeout(RECV).unwrap();
+    assert_eq!(&topic[..], b"topic");
+    assert_eq!(got, msg(&[b"first-frame", b"second-frame"]));
+    drop(peer.join().unwrap());
+    let _ = std::fs::remove_file(&path);
+}

@@ -47,6 +47,35 @@ fn check_same_meta(tensors: &[Tensor], same_all_dims: bool) -> Result<()> {
     Ok(())
 }
 
+/// Writes every tensor's bytes back to back into `dst`, which is sized to
+/// their total: each byte is written once, with no temporary.
+fn write_each_into(tensors: &[Tensor], dst: &mut [u8]) -> Result<()> {
+    let mut cursor = 0;
+    for t in tensors {
+        let n = t.view_bytes();
+        t.copy_bytes_into(&mut dst[cursor..cursor + n])?;
+        cursor += n;
+    }
+    Ok(())
+}
+
+/// Every tensor's bytes back to back in a fresh vector, each written once:
+/// a contiguous view is appended with one `memcpy`; a strided one gets its
+/// range zeroed (while cache-hot) and then gathered into it.
+fn concat_bytes(tensors: &[Tensor]) -> Result<Vec<u8>> {
+    let mut data = Vec::with_capacity(tensors.iter().map(|t| t.view_bytes()).sum());
+    for t in tensors {
+        if let Ok(bytes) = t.bytes() {
+            data.extend_from_slice(bytes);
+            continue;
+        }
+        let start = data.len();
+        data.resize(start + t.view_bytes(), 0);
+        t.copy_bytes_into(&mut data[start..])?;
+    }
+    Ok(data)
+}
+
 /// Stacks equally shaped tensors into a new leading dimension.
 pub fn stack0(tensors: &[Tensor]) -> Result<Tensor> {
     if tensors.is_empty() {
@@ -57,11 +86,12 @@ pub fn stack0(tensors: &[Tensor]) -> Result<Tensor> {
     let mut shape = Vec::with_capacity(first.ndim() + 1);
     shape.push(tensors.len());
     shape.extend_from_slice(first.shape());
-    let mut data = Vec::with_capacity(tensors.len() * first.view_bytes());
-    for t in tensors {
-        data.extend_from_slice(&t.gather_bytes());
-    }
-    Tensor::from_bytes(data, first.dtype(), &shape, first.device())
+    Tensor::from_bytes(
+        concat_bytes(tensors)?,
+        first.dtype(),
+        &shape,
+        first.device(),
+    )
 }
 
 /// Concatenates tensors along dimension 0.
@@ -74,11 +104,12 @@ pub fn cat0(tensors: &[Tensor]) -> Result<Tensor> {
     let rows: usize = tensors.iter().map(|t| t.shape()[0]).sum();
     let mut shape = first.shape().to_vec();
     shape[0] = rows;
-    let mut data = Vec::with_capacity(rows * first.view_bytes() / first.shape()[0].max(1));
-    for t in tensors {
-        data.extend_from_slice(&t.gather_bytes());
-    }
-    Tensor::from_bytes(data, first.dtype(), &shape, first.device())
+    Tensor::from_bytes(
+        concat_bytes(tensors)?,
+        first.dtype(),
+        &shape,
+        first.device(),
+    )
 }
 
 /// [`cat0`] into a buffer checked out from `pool`; the slab returns to the
@@ -104,12 +135,7 @@ pub fn cat0_pooled(tensors: &[Tensor], pool: &MemoryPool, device: DeviceId) -> R
         )));
     }
     let mut buf = pool.checkout();
-    let mut cursor = 0;
-    for t in tensors {
-        let bytes = t.gather_bytes();
-        buf[cursor..cursor + bytes.len()].copy_from_slice(&bytes);
-        cursor += bytes.len();
-    }
+    write_each_into(tensors, &mut buf[..total_bytes])?;
     let storage = Arc::new(Storage::new_pooled(buf, device, pool.return_handle()));
     Tensor::from_parts(
         storage,
@@ -154,13 +180,7 @@ pub fn cat0_leased(
     let mut lease = pool
         .lease(total_bytes)
         .map_err(|e| TensorError::Arena(e.to_string()))?;
-    let dst = lease.bytes_mut();
-    let mut cursor = 0;
-    for t in tensors {
-        let bytes = t.gather_bytes();
-        dst[cursor..cursor + bytes.len()].copy_from_slice(&bytes);
-        cursor += bytes.len();
-    }
+    write_each_into(tensors, &mut lease.bytes_mut()[..total_bytes])?;
     // The tensor's storage pins the slot with its own read reference; the
     // producer reference stays with the lease we hand back.
     let view = pool

@@ -275,25 +275,54 @@ impl Tensor {
 
     /// Gathers the view into a dense row-major byte vector (copies).
     pub fn gather_bytes(&self) -> Vec<u8> {
-        let esize = self.dtype.size_bytes();
         if self.is_contiguous() {
             return self.bytes().expect("contiguous").to_vec();
         }
-        let numel = self.numel();
-        let mut out = Vec::with_capacity(numel * esize);
+        let mut out = vec![0u8; self.view_bytes()];
+        self.copy_bytes_into(&mut out).expect("sized to the view");
+        out
+    }
+
+    /// Writes the view's bytes, dense and row-major, into `dst`, which must
+    /// be exactly [`Tensor::view_bytes`] long: one `memcpy` for a
+    /// contiguous view, a strided gather otherwise (one `memcpy` per run of
+    /// dense innermost elements). Lets collation write each byte once,
+    /// straight into its destination.
+    pub fn copy_bytes_into(&self, dst: &mut [u8]) -> Result<()> {
+        if dst.len() != self.view_bytes() {
+            return Err(TensorError::Shape(format!(
+                "copy of a {} B view into {} B",
+                self.view_bytes(),
+                dst.len()
+            )));
+        }
+        if self.is_contiguous() {
+            dst.copy_from_slice(self.bytes()?);
+            return Ok(());
+        }
+        if dst.is_empty() {
+            return Ok(());
+        }
+        // The innermost dimensions that are dense form one copy run.
+        let mut run = 1;
+        let mut outer = self.ndim();
+        while outer > 0 && (self.shape[outer - 1] == 1 || self.strides[outer - 1] == run) {
+            run *= self.shape[outer - 1];
+            outer -= 1;
+        }
+        let esize = self.dtype.size_bytes();
         let src = self.storage.bytes();
-        let mut idx = vec![0usize; self.ndim()];
-        for _ in 0..numel {
+        let mut idx = vec![0usize; outer];
+        for chunk in dst.chunks_exact_mut(run * esize) {
             let elem: usize = self.offset
                 + idx
                     .iter()
                     .zip(&self.strides)
                     .map(|(&i, &s)| i * s)
                     .sum::<usize>();
-            let b = elem * esize;
-            out.extend_from_slice(&src[b..b + esize]);
-            // advance the multi-index, last dim fastest
-            for d in (0..self.ndim()).rev() {
+            chunk.copy_from_slice(&src[elem * esize..elem * esize + chunk.len()]);
+            // advance the outer multi-index, last dim fastest
+            for d in (0..outer).rev() {
                 idx[d] += 1;
                 if idx[d] < self.shape[d] {
                     break;
@@ -301,7 +330,7 @@ impl Tensor {
                 idx[d] = 0;
             }
         }
-        out
+        Ok(())
     }
 
     /// Materializes the view into a fresh contiguous tensor (copies).
