@@ -102,15 +102,21 @@
 //! from the handshake. See `examples/multi_process.rs` for the full
 //! topology.
 //!
-//! With an arena bound, publish is **zero-copy end to end**: the feeder
-//! leases each batch's slot *before* collating ([`ts_tensor::SlotPool`])
-//! and decodes straight into it ([`ts_tensor::cat0_leased`]), so the
-//! publish loop merely adopts the placement into the
-//! [`ts_tensor::SharedRegistry`] — no payload byte moves at publish
-//! time, and epoch replays refcount the same placement. The invariant is
-//! metered, not assumed: `stage.publish_copy_bytes` counts every byte
-//! the copying fallback touches and must read 0 after warm-up (CI
-//! asserts this on a live scrape). Publishes are additionally announced
+//! With an arena bound, every payload byte of a `DataLoader` batch is
+//! **written once**: the producer binds its recycling slot pool
+//! ([`ts_tensor::SlotPool::bind_to_thread`]) while it starts each epoch,
+//! the loader's workers lease each batch's slots from it and decode every
+//! sample straight into its row ([`ts_data::Dataset::decode_into`]), and
+//! the publish loop merely adopts the placement into the
+//! [`ts_tensor::SharedRegistry`] — no payload byte moves after decode,
+//! and epoch replays refcount the same placement. Sources that hand over
+//! heap batches (pre-built batches, a producer map's output, fused
+//! flexible batches) are copied once into a leased slot
+//! ([`ts_tensor::cat0_leased`]). The invariant is metered, not assumed:
+//! `stage.collate_copy_bytes` counts those copies (0 after warm-up for a
+//! `DataLoader`), and `stage.publish_copy_bytes` counts every byte the
+//! copying publish fallback touches and must read 0 after warm-up (CI
+//! asserts both on a live scrape). Publishes are additionally announced
 //! on a **coalescing cursor channel** — a latest-wins cell flushed at a
 //! bounded ~25 ms cadence, read via `Consumer::latest_cursor` — which
 //! tells a waking consumer where the producer *is* without any backlog
@@ -247,6 +253,7 @@
 //! | `producer.stats_dup` | counter | replies | stats replies dropped for carrying a stale request stamp |
 //! | `stage.[s<N>.]stream_tx_bytes` | counter | bytes | payload bytes sent over the streamed (non-shm) path |
 //! | `stage.[s<N>.]publish_copy_bytes` | counter | bytes | payload bytes the *copying* publish fallback moved — **0** after warm-up with an arena bound (the zero-copy invariant CI asserts) |
+//! | `stage.[s<N>.]collate_copy_bytes` | counter | bytes | payload bytes the preparer copied into leased arena slots — **0** after warm-up for a `DataLoader` source, which decodes in place (CI asserts it); one copy per batch for pre-built or producer-mapped batches and under flexible sizing |
 //! | `stage.[s<N>.]cursor_coalesced` | counter | positions | stale cursor positions displaced (latest-wins) before a flush window |
 //! | `consumer.batches` / `consumer.samples` | counter | batches / samples | consumed by this context's consumers |
 //! | `consumer.acks` | counter | acks | batch acknowledgements sent back |

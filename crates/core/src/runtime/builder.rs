@@ -246,11 +246,14 @@ impl ProducerBuilder {
     /// Backs payloads with a shared-memory arena at `path`, **auto-sized**
     /// from the sources: slot size from the per-sample geometry hint
     /// ([`EpochSource::sample_geometry`]) × the (producer-)batch size, and
-    /// slot count from the publish window + rubberband pin headroom ×
-    /// tensors per batch × shards. A matching recycling slot pool is bound
-    /// per shard, so steady-state publishing performs zero arena
-    /// allocations. The geometry is advertised over the attach handshake —
-    /// consumers map the arena without being told its path.
+    /// slot count from every batch that can hold slots at once — the
+    /// publish window + rubberband pin headroom, the prepared batches
+    /// queued ahead of publish, and the batches loader workers hold
+    /// (`num_workers × (prefetch_factor + 1)`: a `DataLoader` decodes into
+    /// leased slots) — × tensors per batch × shards. A matching recycling
+    /// slot pool is bound per shard, so steady-state publishing performs
+    /// zero arena allocations. The geometry is advertised over the attach
+    /// handshake — consumers map the arena without being told its path.
     ///
     /// Fails at spawn when the source cannot report its geometry; use
     /// [`ProducerBuilder::arena_sized`] then.
@@ -374,31 +377,6 @@ impl ProducerBuilder {
         spec: ArenaSpec,
     ) -> Result<Arc<ShmArena>> {
         let shards = sources.len();
-        // In-flight announcements per shard: the publish window plus the
-        // rubberband pin set (pinned batches stay registered past full
-        // acknowledgement until the join window closes) plus a margin for
-        // releases still in flight.
-        let policy = RubberbandPolicy {
-            cutoff: cfg.rubberband_cutoff,
-        };
-        let per_shard_live = |source: &S| -> usize {
-            let expected = match &cfg.flexible {
-                None => source.batches_per_epoch() as u64,
-                Some(flex) => ((source.batches_per_epoch() * source.batch_size()) as u64)
-                    .div_ceil(flex.producer_batch as u64),
-            };
-            // Zero-copy publish leases slots *ahead* of the publish
-            // cursor: every prepared item parked in the feeder queue (and
-            // in the overlapped staging hand-off) already owns its slot.
-            // Size that ahead-of-publish set in, or a fast feeder would
-            // exhaust the pool and knock the hot path back to the copying
-            // fallback.
-            let (workers, prefetch) = source.pipeline_hint();
-            let feeder_ahead = cfg.pipeline_depth.unwrap_or(workers * prefetch).max(1)
-                + cfg.staging.queue_depth.unwrap_or(cfg.buffer_size)
-                + 1;
-            cfg.buffer_size + policy.pinned_batches(expected) as usize + feeder_ahead + 2
-        };
         let (path, nslots, slot_size, tensors_per_batch) = match spec {
             ArenaSpec::Sized {
                 path,
@@ -424,7 +402,7 @@ impl ProducerBuilder {
                 let tensors = geometry.tensors_per_batch();
                 let nslots: usize = sources
                     .iter()
-                    .map(|s| per_shard_live(s) * tensors)
+                    .map(|s| live_batches(cfg, s) * tensors)
                     .sum::<usize>()
                     .max(2);
                 (path, nslots, slot_size, Some(tensors))
@@ -437,7 +415,7 @@ impl ProducerBuilder {
         // arena itself.
         for (shard, source) in sources.iter().enumerate() {
             let depth = match tensors_per_batch {
-                Some(tensors) => per_shard_live(source) * tensors,
+                Some(tensors) => live_batches(cfg, source) * tensors,
                 None => (nslots / shards).max(1),
             };
             if shards == 1 {
@@ -448,6 +426,42 @@ impl ProducerBuilder {
         }
         Ok(arena)
     }
+}
+
+/// Batches of one producer pipeline over `source` that can hold arena
+/// slots at once — what [`ProducerBuilder::arena`] sizes the arena and
+/// each shard's slot pool by (× tensors per batch): the publish window,
+/// the rubberband pin set (pinned batches stay registered past full
+/// acknowledgement until the join window closes), the prepared batches
+/// queued ahead of publish, the batches loader workers hold, and a margin
+/// for releases still in flight.
+pub(crate) fn live_batches<S: EpochSource>(cfg: &ProducerConfig, source: &S) -> usize {
+    let policy = RubberbandPolicy {
+        cutoff: cfg.rubberband_cutoff,
+    };
+    let expected = match &cfg.flexible {
+        None => source.batches_per_epoch() as u64,
+        Some(flex) => ((source.batches_per_epoch() * source.batch_size()) as u64)
+            .div_ceil(flex.producer_batch as u64),
+    };
+    // Zero-copy publish leases slots *ahead* of the publish cursor: every
+    // prepared item parked in the feeder queue (and in the overlapped
+    // staging hand-off) already owns its slot. Size that ahead-of-publish
+    // set in, or a fast feeder would exhaust the pool and knock the hot
+    // path back to the copying fallback.
+    let (workers, prefetch) = source.pipeline_hint();
+    let feeder_ahead = cfg.pipeline_depth.unwrap_or(workers * prefetch).max(1)
+        + cfg.staging.queue_depth.unwrap_or(cfg.buffer_size)
+        + 1;
+    // A `DataLoader` decodes each batch straight into leased slots (not
+    // under flexible sizing, whose fused batches are collated afresh):
+    // every worker holds up to `prefetch` finished batches in its queue
+    // plus the one it is building.
+    let loader_held = match &cfg.flexible {
+        None => workers * (prefetch + 1),
+        Some(_) => 0,
+    };
+    cfg.buffer_size + policy.pinned_batches(expected) as usize + feeder_ahead + loader_held + 2
 }
 
 /// The producing end of a TensorSocket: one handle over the data-loading

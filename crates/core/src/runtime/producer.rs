@@ -78,11 +78,17 @@ struct StageMetrics {
     stream_tx_bytes: Arc<Counter>,
     /// Payload bytes the *publish loop* copied into the arena because an
     /// item arrived without a feeder placement. The zero-copy path — the
-    /// feeder collates straight into leased slots — keeps this at 0 in
-    /// steady state; every non-zero increment is a fallback (arena
-    /// momentarily exhausted, or a source that hands out pre-shared
-    /// storages the feeder cannot lease for).
+    /// loader decodes, or the preparer collates, straight into leased
+    /// slots — keeps this at 0 in steady state; every non-zero increment
+    /// is a fallback (arena momentarily exhausted, or a view of another
+    /// arena).
     publish_copy_bytes: Arc<Counter>,
+    /// Payload bytes the *preparer* copied into leased arena slots:
+    /// batches that did not arrive already assembled in a slot of this
+    /// pipeline's pool — pre-built sources, producer-map outputs, fused
+    /// flexible batches, and loader batches whose lease fell back to the
+    /// heap. 0 in steady state for a `DataLoader`, which decodes in place.
+    collate_copy_bytes: Arc<Counter>,
     /// Cursor offers displaced before any consumer-visible broadcast —
     /// the coalescing working as intended (latest-wins, no backlog).
     cursor_coalesced: Arc<Counter>,
@@ -109,6 +115,7 @@ impl StageMetrics {
             pin_depth: metrics.gauge(&format!("{prefix}pin_depth")),
             stream_tx_bytes: metrics.counter(&format!("{prefix}stream_tx_bytes")),
             publish_copy_bytes: metrics.counter(&format!("{prefix}publish_copy_bytes")),
+            collate_copy_bytes: metrics.counter(&format!("{prefix}collate_copy_bytes")),
             cursor_coalesced: metrics.counter(&format!("{prefix}cursor_coalesced")),
             log_append_bytes: metrics.counter(&format!("{prefix}log_append_bytes")),
             batches: metrics.counter("producer.batches"),
@@ -389,43 +396,61 @@ struct Preparer {
     /// (no arena, or no pool bound for the shard) keeps the copying
     /// publish path.
     lease: Option<(SlotPool, Option<u32>)>,
+    /// `stage.[s<N>.]collate_copy_bytes`.
+    collate_copy_bytes: Arc<Counter>,
     acc: Vec<Batch>,
     acc_samples: usize,
     pb_index: u64,
 }
 
 impl Preparer {
-    fn new(cfg: &ProducerConfig, lease: Option<(SlotPool, Option<u32>)>) -> Self {
+    fn new(
+        cfg: &ProducerConfig,
+        lease: Option<(SlotPool, Option<u32>)>,
+        collate_copy_bytes: Arc<Counter>,
+    ) -> Self {
         Self {
             producer_batch: cfg.flexible.as_ref().map(|f| f.producer_batch),
             map: cfg.producer_map.clone(),
             lease,
+            collate_copy_bytes,
             acc: Vec::new(),
             acc_samples: 0,
             pb_index: 0,
         }
     }
 
-    /// Produces one output tensor from `parts`, collating directly into a
-    /// leased arena slot when the zero-copy path applies (a pool is
-    /// bound and every part is a host tensor not already backed by the
-    /// arena). The resulting [`Placement`] carries the armed lease to the
-    /// publish loop, which adopts it with zero bytes moved.
+    /// Produces one output tensor from `parts`, placed in a leased arena
+    /// slot when a pool is bound. The resulting [`Placement`] carries the
+    /// lease to the publish loop, which adopts it with zero bytes moved.
     ///
-    /// Lease exhaustion (`TensorError::Arena`) falls back to the heap
-    /// path silently — the publish loop will place (and count) the copy.
+    /// A lone part the loader already assembled in a slot of this pool
+    /// hands its lease over as is — no byte moves here either. A lone
+    /// part that is some other arena view is passed through: the registry
+    /// records the slot it already lies in. Anything else on the host is
+    /// collated into a fresh lease (counted in `collate_copy_bytes`);
+    /// lease exhaustion (`TensorError::Arena`) falls back to the heap path
+    /// silently — the publish loop will place (and count) the copy.
     /// `Err(())` is reserved for real collation failures.
     fn place_one(
         &self,
         parts: Vec<Tensor>,
     ) -> std::result::Result<(Tensor, Option<Placement>), ()> {
         if let Some((pool, pool_key)) = &self.lease {
-            let eligible = parts
-                .iter()
-                .all(|t| !t.device().is_gpu() && !t.storage().is_shared_memory());
-            if eligible {
+            if let [part] = parts.as_slice() {
+                if let Some(lease) = part.storage().take_lease(pool) {
+                    let placement = Placement {
+                        lease,
+                        pool_key: *pool_key,
+                    };
+                    return Ok((parts.into_iter().next().expect("one part"), Some(placement)));
+                }
+            }
+            let single_view = parts.len() == 1 && parts[0].storage().is_shared_memory();
+            if !single_view && parts.iter().all(|t| !t.device().is_gpu()) {
                 match collate::cat0_leased(&parts, pool, parts[0].device()) {
                     Ok((tensor, lease)) => {
+                        self.collate_copy_bytes.add(tensor.view_bytes() as u64);
                         return Ok((
                             tensor,
                             Some(Placement {
@@ -539,13 +564,14 @@ fn feeder_main(
     lease: Option<(SlotPool, Option<u32>)>,
     item_tx: Sender<FeederMsg>,
     stop: Arc<AtomicBool>,
-    fetch_hist: Arc<Histogram>,
+    stage: StageMetrics,
     trace: Arc<TraceRing>,
 ) {
+    let fetch_hist = stage.feeder_fetch.clone();
     for epoch in 0..cfg.epochs {
-        let mut preparer = Preparer::new(&cfg, lease.clone());
+        let mut preparer = Preparer::new(&cfg, lease.clone(), stage.collate_copy_bytes.clone());
         let total = source.batches_per_epoch();
-        let mut iter = source.epoch(epoch);
+        let mut iter = start_epoch(&source, epoch, &cfg, &lease);
         let mut i = 0usize;
         // Fetch-span open stamp: under flexible sizing one item fuses
         // several loader batches, and its span covers the whole
@@ -587,6 +613,25 @@ fn feeder_main(
             return;
         }
     }
+}
+
+/// Starts `source`'s epoch with the pipeline's lease pool bound to this
+/// thread, so a `DataLoader` assembles its batches straight in slots of
+/// that pool and the preparer adopts them without a copy. Not under
+/// flexible sizing: fused producer batches are collated into fresh slots
+/// anyway, and loader batches parked in slots would only hold arena
+/// space meanwhile.
+fn start_epoch<'a, S: EpochSource>(
+    source: &'a S,
+    epoch: u64,
+    cfg: &ProducerConfig,
+    lease: &Option<(SlotPool, Option<u32>)>,
+) -> Box<dyn Iterator<Item = Batch> + Send + 'a> {
+    let _bound = match (lease, &cfg.flexible) {
+        (Some((pool, _)), None) => Some(pool.bind_to_thread()),
+        _ => None,
+    };
+    source.epoch(epoch)
 }
 
 /// Counters reported by [`crate::Producer::join`].
@@ -1098,9 +1143,13 @@ impl ProducerLoop {
             if !self.begin_epoch() {
                 return; // stopped or no consumer ever arrived
             }
-            let mut preparer = Preparer::new(&self.cfg, lease.clone());
+            let mut preparer = Preparer::new(
+                &self.cfg,
+                lease.clone(),
+                self.stage.collate_copy_bytes.clone(),
+            );
             let total = source.batches_per_epoch();
-            let mut iter = source.epoch(epoch);
+            let mut iter = start_epoch(&source, epoch, &self.cfg, &lease);
             let mut i = 0usize;
             let mut fetch_open = 0u64;
             loop {
@@ -1150,7 +1199,7 @@ impl ProducerLoop {
         let (item_tx, item_rx) = channel::bounded::<FeederMsg>(depth);
         let feeder_cfg = self.cfg.clone();
         let feeder_stop = self.stop.clone();
-        let feeder_hist = self.stage.feeder_fetch.clone();
+        let feeder_stage = self.stage.clone();
         let feeder_trace = self.trace.clone();
         let feeder = std::thread::Builder::new()
             .name("tensorsocket-feeder".to_string())
@@ -1161,7 +1210,7 @@ impl ProducerLoop {
                     lease,
                     item_tx,
                     feeder_stop,
-                    feeder_hist,
+                    feeder_stage,
                     feeder_trace,
                 )
             })
@@ -1355,7 +1404,6 @@ impl ProducerLoop {
         // In a group, placements go through this shard's own slot pool
         // when one is bound (TsContext::enable_shard_slot_recycling).
         let pool_key = self.coord.as_ref().map(|_| self.shard);
-        let arena_bound = self.ctx.registry.arena().is_some();
         // `placements` aligns with fields-then-labels; a short (or empty)
         // vec means the copying path for the remaining tensors.
         placements.resize_with(batch.fields.len() + 1, || None);
@@ -1383,10 +1431,8 @@ impl ProducerLoop {
                     // into a slot on THIS thread. Count the bytes so tests
                     // and the CI smoke gate can assert steady state stays
                     // at zero.
-                    if arena_bound && !t.storage().is_shared_memory() {
-                        self.stage.publish_copy_bytes.add(t.view_bytes() as u64);
-                    }
-                    self.ctx.registry.register_for_shard(t.storage(), pool_key);
+                    let copied = self.ctx.registry.register_for_shard(t.storage(), pool_key);
+                    self.stage.publish_copy_bytes.add(copied as u64);
                 }
             }
         }
@@ -1397,8 +1443,9 @@ impl ProducerLoop {
         let Some(batch) = self.live.remove(&seq) else {
             return;
         };
+        let mut ids = Vec::with_capacity(batch.fields.len() + 1);
         for t in batch.fields.iter().chain(std::iter::once(&batch.labels)) {
-            self.ctx.registry.release(t.storage_id());
+            ids.push(t.storage_id());
             // Per tensor, not per batch: a slab-backed storage returns
             // its slab (and keeps its device accounting in the rotation)
             // through its reclaim hook, while a tensor that reached the
@@ -1411,6 +1458,14 @@ impl ProducerLoop {
                     .devices
                     .account_free(t.device(), t.view_bytes() as u64);
             }
+        }
+        // Drop this loop's references before releasing: a storage that
+        // views its arena slot must let go of the slot before the release
+        // reclaims it into the pool, or the next lease finds it still
+        // pinned and abandons it.
+        drop(batch);
+        for id in ids {
+            self.ctx.registry.release(id);
         }
     }
 

@@ -113,15 +113,16 @@ pub struct StagingConfig {
     pub h2d_bandwidth: Option<f64>,
 }
 
-/// A shared-memory arena slot the feeder already collated a tensor into
-/// (the zero-copy publish path): the lease still holds the slot's
-/// producer reference, so an item dropped before publishing frees its
-/// slots automatically. At publish time the loop adopts the lease into
-/// the registry ([`ts_tensor::SharedRegistry::register_placed`]) instead
-/// of copying bytes into a fresh placement.
+/// A shared-memory arena slot holding a tensor's bytes already (the
+/// zero-copy publish path: the loader decoded into it, or the feeder
+/// collated into it): the lease still holds the slot's producer
+/// reference, so an item dropped before publishing returns its slots to
+/// their pool. At publish time the loop adopts the lease into the
+/// registry ([`ts_tensor::SharedRegistry::register_placed`]) instead of
+/// copying bytes into a fresh placement.
 pub(crate) struct Placement {
     /// The leased slot holding the tensor's bytes.
-    pub lease: ts_shm::ShmLease,
+    pub lease: ts_tensor::SlotLease,
     /// Which recycling pool the slot came from (`Some(shard)` for one
     /// pipeline of a sharded group, `None` for the default pool), so the
     /// registration reclaims into the right pool on release.

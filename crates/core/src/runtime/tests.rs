@@ -2,7 +2,7 @@
 //! threads, real sockets, real payload sharing.
 
 use crate::protocol::order::OrderConfig;
-use crate::runtime::builder::{ConsumerBuilder, Producer};
+use crate::runtime::builder::{live_batches, ConsumerBuilder, Producer};
 use crate::runtime::config::{FlexibleConfig, ProducerConfig};
 use crate::runtime::consumer::{Consumer, ConsumerBatch, StopReason};
 use crate::runtime::context::TsContext;
@@ -220,13 +220,22 @@ fn steady_state_publish_recycles_arena_slots_without_allocating() {
         "ts-producer-pool-steady-{}.arena",
         std::process::id()
     ));
-    ctx.create_arena(&arena_path, 16, 4096).unwrap();
-    let pool = ctx.enable_slot_recycling(12).unwrap();
     let ep = "inproc://pool-steady";
     let mut cfg = producer_cfg(ep, 2);
     // Small join window: pins (and their slots) return to the pool early.
     cfg.rubberband_cutoff = 0.02;
-    let producer = spawn(loader_with_workers(64, 4, 2), &ctx, cfg).unwrap();
+    let source = loader_with_workers(64, 4, 2);
+    // Arena and pool both cover the producer's in-flight bound — the
+    // live-set formula `ProducerBuilder::arena` sizes by, × 2 storages
+    // (field + labels) per batch — so no in-flight batch outgrows them.
+    // The pool owns every slot up front: how soon the in-flight set
+    // reaches its peak depends on thread timing, and a peak reached after
+    // the warm-up point would otherwise count as first-touch misses.
+    let slots = live_batches(&cfg, &source) * 2;
+    ctx.create_arena(&arena_path, slots, 4096).unwrap();
+    let pool = ctx.enable_slot_recycling(slots).unwrap();
+    assert_eq!(pool.preallocate(slots), slots);
+    let producer = spawn(source, &ctx, cfg).unwrap();
     let mut consumer = connect(&ctx, ep);
     let mut consumed = 0u64;
     let mut warmed_misses = None;
@@ -1693,8 +1702,8 @@ fn two_standalone_gpu_producers_get_disjoint_gauge_namespaces() {
 
 #[test]
 fn steady_state_publish_moves_zero_payload_bytes() {
-    // Tentpole acceptance: with an arena + slot pool bound, the feeder
-    // collates straight into leased slots and the publish loop only adopts
+    // Tentpole acceptance: with an arena + slot pool bound, the loader
+    // decodes straight into leased slots and the publish loop only adopts
     // the placements — `stage.publish_copy_bytes` counts any payload byte
     // the publish path still moves, the same way PR 2's test counted
     // steady-state allocations, and it must stay at zero.
@@ -1736,6 +1745,87 @@ fn steady_state_publish_moves_zero_payload_bytes() {
     assert!(ctx.registry.is_empty());
     pool.drain();
     assert_eq!(ctx.arena().unwrap().slots_in_use(), 0);
+}
+
+#[test]
+fn loader_batches_decode_in_place_under_an_auto_sized_arena() {
+    // The loader decodes straight into slots leased from the producer's
+    // pool, so neither the preparer nor the publish loop copies payload
+    // bytes once warmed up, and the pool stops missing.
+    let ctx = TsContext::host_only();
+    let arena_path =
+        std::env::temp_dir().join(format!("ts-decode-in-place-{}.arena", std::process::id()));
+    let ep = "inproc://decode-in-place";
+    let mut cfg = producer_cfg(ep, 2);
+    cfg.rubberband_cutoff = 0.02;
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(cfg)
+        .arena(&arena_path)
+        .spawn(loader_with_workers(64, 4, 2))
+        .unwrap();
+    let pool = ctx
+        .registry
+        .slot_pool()
+        .expect("auto-sized arena binds a pool");
+    let collate_copies = ctx.metrics.counter("stage.collate_copy_bytes");
+    let publish_copies = ctx.metrics.counter("stage.publish_copy_bytes");
+    let mut consumer = connect(&ctx, ep);
+    let mut consumed = 0u64;
+    let mut warmed = None;
+    for b in clean_batches(&mut consumer) {
+        // Byte-identical to the decoded samples: field = [i, 2i] per row.
+        let labels = b.labels.to_vec_i64().unwrap();
+        let want: Vec<f32> = labels
+            .iter()
+            .flat_map(|&i| [i as f32, 2.0 * i as f32])
+            .collect();
+        assert_eq!(b.fields[0].to_vec_f32().unwrap(), want);
+        consumed += 1;
+        if consumed == 8 {
+            warmed = Some(collate_copies.get());
+        }
+    }
+    assert_eq!(consumed, 32, "2 epochs × 16 batches");
+    producer.join().unwrap();
+    assert_eq!(warmed, Some(0), "the preparer copied loader batches");
+    assert_eq!(collate_copies.get(), 0, "the preparer copied after warm-up");
+    assert_eq!(publish_copies.get(), 0, "the publish loop copied");
+    // Slots recycle: the pool never claimed more than the live bound, and
+    // no slot was lost to a reader still pinning it.
+    let stats = pool.stats();
+    assert!(stats.misses as usize <= pool.depth(), "{stats:?}");
+    assert_eq!(stats.busy_discards, 0, "{stats:?}");
+    assert!(ctx.registry.is_empty());
+    pool.drain();
+    assert_eq!(ctx.arena().unwrap().slots_in_use(), 0);
+}
+
+#[test]
+fn prebuilt_batches_pay_one_collate_copy_each() {
+    // A source of pre-built heap batches cannot decode in place: the
+    // preparer copies each tensor into a leased slot once, and the
+    // counter says so.
+    let ctx = TsContext::host_only();
+    let arena_path =
+        std::env::temp_dir().join(format!("ts-prebuilt-copy-{}.arena", std::process::id()));
+    let batches: Vec<_> = loader(32, 4).epoch(0).collect();
+    let bytes_per_batch = (batches[0].fields[0].view_bytes() + 4 * 8) as u64;
+    let ep = "inproc://prebuilt-copy";
+    let producer = Producer::builder()
+        .context(&ctx)
+        .config(producer_cfg(ep, 1))
+        .arena(&arena_path)
+        .spawn(crate::runtime::producer::VecSource::new(batches).unwrap())
+        .unwrap();
+    let mut consumer = connect(&ctx, ep);
+    assert_eq!(clean_batches(&mut consumer).count(), 8);
+    producer.join().unwrap();
+    assert_eq!(
+        ctx.metrics.counter("stage.collate_copy_bytes").get(),
+        8 * bytes_per_batch
+    );
+    assert_eq!(ctx.metrics.counter("stage.publish_copy_bytes").get(), 0);
 }
 
 #[test]

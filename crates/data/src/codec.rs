@@ -34,6 +34,15 @@ pub fn encode_stub(seed: u64, index: u64, len: usize) -> Bytes {
 /// multiply per output byte, plus one absorption round per input byte),
 /// deterministic, and dependent on every input byte.
 pub fn decode_bytes(encoded: &[u8], out_len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; out_len];
+    decode_bytes_into(encoded, &mut out);
+    out
+}
+
+/// [`decode_bytes`] writing its `out.len()` decoded bytes straight into
+/// `out` — e.g. a sample's row of a batch buffer — so each decoded byte is
+/// written once.
+pub fn decode_bytes_into(encoded: &[u8], out: &mut [u8]) {
     // Absorb the input.
     let mut state: u64 = 0x6C62272E07BB0142;
     for &b in encoded {
@@ -44,12 +53,10 @@ pub fn decode_bytes(encoded: &[u8], out_len: usize) -> Vec<u8> {
         state = 1;
     }
     // Squeeze the output.
-    let mut out = vec![0u8; out_len];
     for slot in out.iter_mut() {
         state = xorshift64(state);
         *slot = (state >> 24) as u8;
     }
-    out
 }
 
 /// Like [`decode_bytes`] but producing `f32` values in `[-1, 1]`, used for
@@ -99,6 +106,16 @@ mod tests {
             let mut tweaked = enc.clone();
             tweaked[flip] ^= 0x80;
             assert_ne!(decode_bytes(&tweaked, 256), base, "byte {flip} ignored");
+        }
+    }
+
+    #[test]
+    fn decode_into_matches_decode_for_every_length() {
+        let enc = encode_stub(4, 2, 96);
+        for len in [0usize, 1, 7, 300] {
+            let mut out = vec![0xAAu8; len];
+            decode_bytes_into(&enc, &mut out);
+            assert_eq!(out, decode_bytes(&enc, len), "len {len}");
         }
     }
 

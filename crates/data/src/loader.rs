@@ -5,16 +5,28 @@
 //! preparing *whole batches*, bounded prefetch per worker, deterministic
 //! per-epoch shuffling, and in-order batch delivery (batch *i* comes from
 //! worker `i % num_workers`, each worker's output is FIFO).
+//!
+//! Batches are assembled in place, so each payload byte is written once:
+//! a batch gets one buffer per field (and one for the labels), and every
+//! sample decodes straight into its row ([`Dataset::decode_into`]), or —
+//! with a transform pipeline — is decoded, transformed and copied into
+//! it. When the thread that starts an epoch has a [`SlotPool`] bound
+//! ([`SlotPool::bind_to_thread`], as a TensorSocket producer does around
+//! its loader), the buffers are slots leased from that pool: the rows are
+//! written into the shared-memory arena slots consumers map, and the
+//! producer publishes them without moving a byte. Otherwise, or when a
+//! lease fails, they are heap buffers.
 
-use crate::sample::Dataset;
+use crate::sample::{Dataset, RawSample};
 use crate::sampler::{shard_bounds, Sampler, SequentialSampler, ShardedSampler, ShuffleSampler};
 use crate::transforms::Pipeline;
 use crate::{DataError, Result};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use ts_device::DeviceId;
 use ts_metrics::Registry;
-use ts_tensor::{collate, Tensor};
+use ts_tensor::{BatchBuffer, DType, SlotPool, Tensor, TensorError};
 
 /// Configuration mirroring `torch.utils.data.DataLoader` arguments.
 #[derive(Debug, Clone)]
@@ -201,8 +213,11 @@ impl DataLoader {
         }
     }
 
-    /// Starts iteration over one epoch.
+    /// Starts iteration over one epoch. Batch buffers are leased from the
+    /// [`SlotPool`] bound to the calling thread, if any (see the module
+    /// docs).
     pub fn epoch(&self, epoch: u64) -> EpochIter {
+        let pool = SlotPool::bound();
         let indices = self.sampler.epoch_indices(epoch, self.dataset.len());
         let mut batches: Vec<Vec<usize>> = indices
             .chunks(self.cfg.batch_size)
@@ -215,13 +230,7 @@ impl DataLoader {
         if self.cfg.num_workers == 0 || num_batches == 0 {
             return EpochIter {
                 mode: IterMode::Sync {
-                    worker: BatchBuilder {
-                        dataset: self.dataset.clone(),
-                        pipeline: self.pipeline.clone(),
-                        metrics: self.metrics.clone(),
-                        epoch,
-                        num_batches,
-                    },
+                    worker: self.builder(epoch, num_batches, pool),
                     batches,
                 },
                 next_index: 0,
@@ -245,13 +254,7 @@ impl DataLoader {
                 .step_by(workers)
                 .map(|(i, b)| (i, b.clone()))
                 .collect();
-            let builder = BatchBuilder {
-                dataset: self.dataset.clone(),
-                pipeline: self.pipeline.clone(),
-                metrics: self.metrics.clone(),
-                epoch,
-                num_batches,
-            };
+            let mut builder = self.builder(epoch, num_batches, pool.clone());
             handles.push(std::thread::spawn(move || {
                 for (index, sample_indices) in my_batches {
                     let out = builder.build(index, &sample_indices);
@@ -267,6 +270,124 @@ impl DataLoader {
             num_batches,
         }
     }
+
+    fn builder(&self, epoch: u64, num_batches: usize, pool: Option<SlotPool>) -> BatchBuilder {
+        BatchBuilder {
+            dataset: self.dataset.clone(),
+            pipeline: self.pipeline.clone(),
+            metrics: self.metrics.clone(),
+            epoch,
+            num_batches,
+            pool,
+            layout: None,
+        }
+    }
+}
+
+/// What every row of one batch field holds: one sample's tensor meta.
+struct FieldLayout {
+    dtype: DType,
+    shape: Vec<usize>,
+    device: DeviceId,
+}
+
+impl FieldLayout {
+    fn of(t: &Tensor) -> Self {
+        Self {
+            dtype: t.dtype(),
+            shape: t.shape().to_vec(),
+            device: t.device(),
+        }
+    }
+
+    fn row_bytes(&self) -> usize {
+        self.shape.iter().product::<usize>() * self.dtype.size_bytes()
+    }
+
+    /// Fails when `t` cannot be a row of this field — the checks, and
+    /// errors, of `collate::stack0`.
+    fn check(&self, t: &Tensor) -> std::result::Result<(), TensorError> {
+        if t.dtype() != self.dtype {
+            return Err(TensorError::DType {
+                expected: self.dtype,
+                got: t.dtype(),
+            });
+        }
+        if t.shape() != self.shape.as_slice() {
+            return Err(TensorError::Shape(format!(
+                "collate shape mismatch: {:?} vs {:?}",
+                t.shape(),
+                self.shape
+            )));
+        }
+        if t.device() != self.device {
+            return Err(TensorError::Device(format!(
+                "collate device mismatch: {} vs {}",
+                t.device(),
+                self.device
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// A batch under assembly: each field's layout and its whole-batch buffer.
+struct Rows {
+    layout: Vec<FieldLayout>,
+    bufs: Vec<BatchBuffer>,
+}
+
+impl Rows {
+    fn alloc(layout: Vec<FieldLayout>, samples: usize, pool: Option<&SlotPool>) -> Self {
+        let bufs = layout
+            .iter()
+            .map(|l| BatchBuffer::alloc(pool, samples * l.row_bytes()))
+            .collect();
+        Self { layout, bufs }
+    }
+
+    /// Row `row` of every field, the `out` of [`Dataset::decode_into`].
+    fn row(&mut self, row: usize) -> Vec<&mut [u8]> {
+        self.bufs
+            .iter_mut()
+            .zip(&self.layout)
+            .map(|(buf, l)| {
+                let w = l.row_bytes();
+                &mut buf.bytes_mut()[row * w..(row + 1) * w]
+            })
+            .collect()
+    }
+
+    /// Copies one decoded sample into row `row`, after the `stack0` checks.
+    fn copy_row(&mut self, row: usize, fields: &[Tensor]) -> Result<()> {
+        if fields.len() != self.layout.len() {
+            return Err(TensorError::Shape(format!(
+                "collate field count mismatch: {} vs {}",
+                fields.len(),
+                self.layout.len()
+            ))
+            .into());
+        }
+        for (l, t) in self.layout.iter().zip(fields) {
+            l.check(t)?;
+        }
+        for (t, dst) in fields.iter().zip(self.row(row)) {
+            t.copy_bytes_into(dst)?;
+        }
+        Ok(())
+    }
+
+    /// Freezes the buffers into `[samples, ...]` tensors.
+    fn finish(self, samples: usize) -> Result<(Vec<Tensor>, Vec<FieldLayout>)> {
+        let mut fields = Vec::with_capacity(self.bufs.len());
+        for (buf, l) in self.bufs.into_iter().zip(&self.layout) {
+            let mut shape = Vec::with_capacity(l.shape.len() + 1);
+            shape.push(samples);
+            shape.extend_from_slice(&l.shape);
+            fields.push(buf.into_tensor(l.dtype, &shape, l.device)?);
+        }
+        Ok((fields, self.layout))
+    }
 }
 
 /// Builds one collated batch; shared by sync and worker paths.
@@ -276,27 +397,43 @@ struct BatchBuilder {
     metrics: Registry,
     epoch: u64,
     num_batches: usize,
+    /// Where batch buffers are leased from (the pool bound on the thread
+    /// that started the epoch); `None` builds on the heap.
+    pool: Option<SlotPool>,
+    /// The previous batch's layout: the next batch's first sample decodes
+    /// in place under it when it fits, so only the first batch (or one
+    /// whose samples changed size) decodes a row to learn the layout. A
+    /// dataset relying on the default [`Dataset::decode_into`] whose
+    /// samples change shape but not byte size keeps the earlier shape.
+    layout: Option<Vec<FieldLayout>>,
 }
 
 impl BatchBuilder {
-    fn build(&self, index: usize, sample_indices: &[usize]) -> Result<Batch> {
-        let mut decoded = Vec::with_capacity(sample_indices.len());
-        for &si in sample_indices {
+    fn build(&mut self, index: usize, sample_indices: &[usize]) -> Result<Batch> {
+        let samples = sample_indices.len();
+        let mut labels = BatchBuffer::alloc(self.pool.as_ref(), 8 * samples);
+        let mut rows: Option<Rows> = None;
+        for (row, &si) in sample_indices.iter().enumerate() {
             let raw = self.dataset.get(si)?;
-            let mut dec = self.dataset.decode(&raw)?;
-            if !self.pipeline.is_empty() && !dec.fields.is_empty() {
-                dec.fields[0] = self.pipeline.apply(&dec.fields[0], self.epoch, si)?;
+            let label = match &mut rows {
+                Some(rows) => self.fill_row(rows, row, &raw, si)?,
+                None => {
+                    let (first, label) = self.first_row(samples, &raw, si)?;
+                    rows = Some(first);
+                    label
+                }
+            };
+            labels.bytes_mut()[8 * row..8 * row + 8].copy_from_slice(&label.to_le_bytes());
+        }
+        let fields = match rows {
+            Some(rows) => {
+                let (fields, layout) = rows.finish(samples)?;
+                self.layout = Some(layout);
+                fields
             }
-            decoded.push(dec);
-        }
-        let num_fields = decoded.first().map(|d| d.fields.len()).unwrap_or(0);
-        let mut fields = Vec::with_capacity(num_fields);
-        for f in 0..num_fields {
-            let per_sample: Vec<Tensor> = decoded.iter().map(|d| d.fields[f].clone()).collect();
-            fields.push(collate::stack0(&per_sample)?);
-        }
-        let labels_vec: Vec<i64> = decoded.iter().map(|d| d.label).collect();
-        let labels = Tensor::from_i64(&labels_vec, &[labels_vec.len()], ts_device::DeviceId::Cpu)?;
+            None => Vec::new(),
+        };
+        let labels = labels.into_tensor(DType::I64, &[samples], DeviceId::Cpu)?;
         self.metrics.counter("loader.batches").inc();
         self.metrics
             .counter("loader.samples")
@@ -309,6 +446,45 @@ impl BatchBuilder {
             sample_indices: sample_indices.to_vec(),
             last_in_epoch: index + 1 == self.num_batches,
         })
+    }
+
+    /// Allocates the batch's buffers and fills row 0: in place under the
+    /// previous batch's layout when the sample fits it, else by decoding
+    /// the sample to learn the layout (first batch, a transform pipeline,
+    /// or a batch whose samples changed size).
+    fn first_row(&mut self, samples: usize, raw: &RawSample, si: usize) -> Result<(Rows, i64)> {
+        if self.pipeline.is_empty() {
+            if let Some(layout) = self.layout.take() {
+                let mut rows = Rows::alloc(layout, samples, self.pool.as_ref());
+                if let Ok(label) = self.dataset.decode_into(raw, &mut rows.row(0)) {
+                    return Ok((rows, label));
+                }
+            }
+        }
+        let (fields, label) = self.decode_row(raw, si)?;
+        let layout = fields.iter().map(FieldLayout::of).collect();
+        let mut rows = Rows::alloc(layout, samples, self.pool.as_ref());
+        rows.copy_row(0, &fields)?;
+        Ok((rows, label))
+    }
+
+    /// Fills row `row` (> 0) of the batch.
+    fn fill_row(&self, rows: &mut Rows, row: usize, raw: &RawSample, si: usize) -> Result<i64> {
+        if self.pipeline.is_empty() {
+            return self.dataset.decode_into(raw, &mut rows.row(row));
+        }
+        let (fields, label) = self.decode_row(raw, si)?;
+        rows.copy_row(row, &fields)?;
+        Ok(label)
+    }
+
+    /// Decodes one sample and runs the transform pipeline on field 0.
+    fn decode_row(&self, raw: &RawSample, si: usize) -> Result<(Vec<Tensor>, i64)> {
+        let mut dec = self.dataset.decode(raw)?;
+        if !self.pipeline.is_empty() && !dec.fields.is_empty() {
+            dec.fields[0] = self.pipeline.apply(&dec.fields[0], self.epoch, si)?;
+        }
+        Ok((dec.fields, dec.label))
     }
 }
 

@@ -57,10 +57,69 @@ pub trait Dataset: Send + Sync {
     /// work happens.
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample>;
 
+    /// Decodes a raw sample straight into caller-owned memory and returns
+    /// its label. The data loader calls this to write each sample into its
+    /// row of the batch buffers (arena slots, under a producer), so each
+    /// decoded byte is written once.
+    ///
+    /// `out` holds one slice per tensor field, each sized to that field's
+    /// bytes in the batch's layout (the layout of the batch's first
+    /// sample). An implementation writes every byte of every slice with
+    /// the field's dense, row-major bytes — exactly what [`Dataset::decode`]
+    /// followed by [`Tensor::copy_bytes_into`] writes — and returns the
+    /// label [`Dataset::decode`] would report. When the sample does not
+    /// fit (another field count, or a field of another byte size) it must
+    /// fail with an error rather than write a partial row: that is how a
+    /// ragged sample fails its batch, as `stack0` fails on it.
+    ///
+    /// The default decodes and then copies each field in: correct for any
+    /// dataset, at one extra write per byte. Override it to decode in
+    /// place, as the synthetic datasets do.
+    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
+        let decoded = self.decode(raw)?;
+        check_fields_fit(
+            raw.index,
+            decoded.fields.iter().map(Tensor::view_bytes),
+            out,
+        )?;
+        for (t, dst) in decoded.fields.iter().zip(out.iter_mut()) {
+            t.copy_bytes_into(dst)?;
+        }
+        Ok(decoded.label)
+    }
+
     /// Short human-readable name.
     fn name(&self) -> &str {
         "dataset"
     }
+}
+
+/// Checks that a sample whose fields have byte sizes `field_bytes` fits
+/// the row slices `out` of [`Dataset::decode_into`]; the error names the
+/// first mismatch.
+pub(crate) fn check_fields_fit(
+    index: usize,
+    field_bytes: impl ExactSizeIterator<Item = usize>,
+    out: &[&mut [u8]],
+) -> Result<()> {
+    if field_bytes.len() != out.len() {
+        return Err(ts_tensor::TensorError::Shape(format!(
+            "sample {index} has {} fields, the batch {}",
+            field_bytes.len(),
+            out.len()
+        ))
+        .into());
+    }
+    for (f, (bytes, dst)) in field_bytes.zip(out).enumerate() {
+        if bytes != dst.len() {
+            return Err(ts_tensor::TensorError::Shape(format!(
+                "collate shape mismatch: sample {index} field {f} is {bytes} B, the batch row {} B",
+                dst.len()
+            ))
+            .into());
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Synthetic datasets matching the shapes and cost profiles of the paper's
 //! datasets (Table 1): ImageNet-1K, LibriSpeech, CC3M, Alpaca.
 
-use crate::codec::{decode_bytes, decode_f32, encode_stub};
-use crate::sample::{Dataset, DecodedSample, RawSample};
+use crate::codec::{decode_bytes, decode_bytes_into, decode_f32, encode_stub};
+use crate::sample::{check_fields_fit, Dataset, DecodedSample, RawSample};
 use crate::{DataError, Result};
 use ts_device::DeviceId;
 use ts_tensor::Tensor;
@@ -12,6 +12,17 @@ fn check_index(index: usize, len: usize) -> Result<()> {
         return Err(DataError::IndexOutOfRange { index, len });
     }
     Ok(())
+}
+
+/// Widens the `k`-byte little-endian values at the front of `buf`, one per
+/// `k`-byte input, to `W`-byte little-endian values filling `buf` (`buf`
+/// holds `buf.len() / W` of them) — in place, last value first, so every
+/// input is read before its bytes are overwritten.
+fn widen_in_place<const W: usize>(buf: &mut [u8], k: usize, f: impl Fn(&[u8]) -> [u8; W]) {
+    for i in (0..buf.len() / W).rev() {
+        let wide = f(&buf[i * k..i * k + k]);
+        buf[i * W..i * W + W].copy_from_slice(&wide);
+    }
 }
 
 /// ImageNet-like image classification dataset.
@@ -108,6 +119,12 @@ impl Dataset for SyntheticImageDataset {
         })
     }
 
+    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
+        check_fields_fit(raw.index, [3 * self.height * self.width].into_iter(), out)?;
+        decode_bytes_into(&raw.bytes, out[0]);
+        Ok(raw.label)
+    }
+
     fn name(&self) -> &str {
         "synthetic-imagenet"
     }
@@ -174,6 +191,14 @@ impl Dataset for SyntheticAudioDataset {
             fields: vec![t],
             label: raw.label,
         })
+    }
+
+    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
+        let n = self.samples_per_clip;
+        check_fields_fit(raw.index, [4 * n].into_iter(), out)?;
+        decode_bytes_into(&raw.bytes, &mut out[0][..n]);
+        widen_in_place(out[0], 1, |b| ((b[0] as f32 / 127.5) - 1.0).to_le_bytes());
+        Ok(raw.label)
     }
 
     fn name(&self) -> &str {
@@ -247,6 +272,19 @@ impl Dataset for SyntheticCaptionDataset {
         })
     }
 
+    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
+        let n = 3 * self.height * self.width;
+        check_fields_fit(raw.index, [n, 8 * self.tokens].into_iter(), out)?;
+        decode_bytes_into(&raw.bytes, out[0]);
+        let caption = &mut *out[1];
+        decode_bytes_into(
+            &raw.bytes[..8.min(raw.bytes.len())],
+            &mut caption[..self.tokens],
+        );
+        widen_in_place(caption, 1, |b| ((b[0] as i64) % 49408).to_le_bytes());
+        Ok(raw.label)
+    }
+
     fn name(&self) -> &str {
         "synthetic-cc3m"
     }
@@ -306,9 +344,7 @@ impl Dataset for SyntheticTextDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample> {
-        // Sequence length varies between 25% and 100% of max; rest is pad(0).
-        let span = splitlabel(self.seed, raw.index) as usize;
-        let real = self.max_tokens / 4 + span % (3 * self.max_tokens / 4).max(1);
+        let real = self.real_tokens(raw.index);
         let bytes = decode_bytes(&raw.bytes, real * 2);
         let mut toks = vec![0i64; self.max_tokens];
         for (i, pair) in bytes.chunks_exact(2).enumerate() {
@@ -322,8 +358,30 @@ impl Dataset for SyntheticTextDataset {
         })
     }
 
+    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
+        check_fields_fit(raw.index, [8 * self.max_tokens].into_iter(), out)?;
+        let real = self.real_tokens(raw.index);
+        let (tokens, pad) = out[0].split_at_mut(8 * real);
+        decode_bytes_into(&raw.bytes, &mut tokens[..2 * real]);
+        let vocab = self.vocab;
+        widen_in_place(tokens, 2, |p| {
+            (((u16::from_le_bytes([p[0], p[1]]) as i64) % (vocab - 1)) + 1).to_le_bytes()
+        });
+        pad.fill(0);
+        Ok(raw.label)
+    }
+
     fn name(&self) -> &str {
         "synthetic-alpaca"
+    }
+}
+
+impl SyntheticTextDataset {
+    /// Unpadded tokens of sample `index`: between 25% and 100% of
+    /// `max_tokens`; the rest is pad (0).
+    fn real_tokens(&self, index: usize) -> usize {
+        let span = splitlabel(self.seed, index) as usize;
+        self.max_tokens / 4 + span % (3 * self.max_tokens / 4).max(1)
     }
 }
 

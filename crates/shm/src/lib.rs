@@ -666,8 +666,7 @@ impl ShmArena {
         }
         Ok(ShmView {
             arena: Arc::clone(self),
-            slot: i,
-            len: handle.len as usize,
+            handle,
         })
     }
 
@@ -719,14 +718,22 @@ impl Drop for ShmArena {
 /// slot (and on the mapping) until dropped.
 pub struct ShmView {
     arena: Arc<ShmArena>,
-    slot: usize,
-    len: usize,
+    /// The handle the view was attached with; its generation stays live
+    /// while the view pins the slot.
+    handle: ShmHandle,
 }
 
 impl ShmView {
     /// The arena this view pins.
     pub fn arena(&self) -> &Arc<ShmArena> {
         &self.arena
+    }
+
+    /// The handle this view was attached with. It stays attachable for
+    /// as long as the view lives: the view's reference keeps the slot's
+    /// generation from moving.
+    pub fn handle(&self) -> ShmHandle {
+        self.handle
     }
 }
 
@@ -736,22 +743,27 @@ impl std::ops::Deref for ShmView {
     fn deref(&self) -> &[u8] {
         // Safety: the refcount held by this view keeps the slot from being
         // reallocated, so the bytes are stable for the view's lifetime.
-        unsafe { std::slice::from_raw_parts(self.arena.slot_data_ptr(self.slot), self.len) }
+        unsafe {
+            std::slice::from_raw_parts(
+                self.arena.slot_data_ptr(self.handle.slot as usize),
+                self.handle.len as usize,
+            )
+        }
     }
 }
 
 impl std::fmt::Debug for ShmView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShmView")
-            .field("slot", &self.slot)
-            .field("len", &self.len)
+            .field("slot", &self.handle.slot)
+            .field("len", &self.handle.len)
             .finish()
     }
 }
 
 impl Drop for ShmView {
     fn drop(&mut self) {
-        self.arena.drop_ref(self.slot);
+        self.arena.drop_ref(self.handle.slot as usize);
     }
 }
 

@@ -7,13 +7,12 @@
 //! that is how several loader batches fuse into one contiguous producer
 //! batch slab (optionally in a pooled buffer via [`cat0_pooled`]).
 
-use crate::pool::{MemoryPool, SlotPool};
+use crate::pool::{MemoryPool, SlotLease, SlotPool};
 use crate::shape::contiguous_strides;
 use crate::storage::{fresh_storage_id, Storage};
-use crate::{Result, Tensor, TensorError};
+use crate::{DType, Result, Tensor, TensorError};
 use std::sync::Arc;
 use ts_device::DeviceId;
-use ts_shm::ShmLease;
 
 fn check_same_meta(tensors: &[Tensor], same_all_dims: bool) -> Result<()> {
     let first = &tensors[0];
@@ -152,20 +151,20 @@ pub fn cat0_pooled(tensors: &[Tensor], pool: &MemoryPool, device: DeviceId) -> R
 /// collation *is* the placement.
 ///
 /// The returned tensor's storage is a zero-copy view of the leased slot
-/// (under a fresh storage id), and the returned [`ShmLease`] still holds
+/// (under a fresh storage id), and the returned [`SlotLease`] still holds
 /// the lease's producer reference: at publish time,
-/// [`ShmLease::into_handle`] it into
+/// [`SlotLease::into_handle`] it into
 /// [`crate::SharedRegistry::register_placed`] so the slot recycles through
 /// `pool` when the registration releases. An item that never reaches the
-/// publish stage (shutdown, epoch abort) simply drops the lease, freeing
-/// the slot. Fails with [`TensorError::Arena`] when no slot can be leased
-/// (arena full, or every recyclable slot still pinned by readers) —
-/// callers fall back to the copying collate path.
+/// publish stage (shutdown, epoch abort) simply drops the lease, returning
+/// the slot to `pool`. Fails with [`TensorError::Arena`] when no slot can
+/// be leased (arena full, or every recyclable slot still pinned by
+/// readers) — callers fall back to the copying collate path.
 pub fn cat0_leased(
     tensors: &[Tensor],
     pool: &SlotPool,
     device: DeviceId,
-) -> Result<(Tensor, ShmLease)> {
+) -> Result<(Tensor, SlotLease)> {
     if tensors.is_empty() {
         return Err(TensorError::Shape(
             "cat0_leased of zero tensors".to_string(),
@@ -196,6 +195,56 @@ pub fn cat0_leased(
         0,
     )?;
     Ok((tensor, lease))
+}
+
+/// The destination of one batch tensor assembled in place, row by row —
+/// how the data loader writes each decoded byte once, straight into the
+/// buffer consumers read: a slot leased from a [`SlotPool`] when one is
+/// given and can serve `len` bytes, a heap buffer otherwise.
+#[derive(Debug)]
+pub enum BatchBuffer {
+    /// Process-private heap bytes.
+    Heap(Vec<u8>),
+    /// A leased arena slot; the finished tensor's storage carries the
+    /// lease until a publisher adopts it ([`Storage::take_lease`]).
+    Leased(SlotLease),
+}
+
+impl BatchBuffer {
+    /// `len` bytes leased from `pool`, or — with no pool, or when the
+    /// lease fails (arena exhausted, tensor larger than a slot) — a
+    /// zeroed heap buffer.
+    pub fn alloc(pool: Option<&SlotPool>, len: usize) -> Self {
+        match pool.map(|p| p.lease(len)) {
+            Some(Ok(lease)) => BatchBuffer::Leased(lease),
+            _ => BatchBuffer::Heap(vec![0u8; len]),
+        }
+    }
+
+    /// The writable bytes.
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        match self {
+            BatchBuffer::Heap(v) => v,
+            BatchBuffer::Leased(lease) => lease.bytes_mut(),
+        }
+    }
+
+    /// Freezes the written buffer into a contiguous tensor of `shape`.
+    pub fn into_tensor(self, dtype: DType, shape: &[usize], device: DeviceId) -> Result<Tensor> {
+        let storage = match self {
+            BatchBuffer::Heap(v) => Storage::new(v, device),
+            BatchBuffer::Leased(lease) => {
+                Storage::from_lease(lease, device).map_err(|e| TensorError::Arena(e.to_string()))?
+            }
+        };
+        Tensor::from_parts(
+            Arc::new(storage),
+            dtype,
+            shape.to_vec(),
+            contiguous_strides(shape),
+            0,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -299,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn dropped_lease_from_leased_cat_frees_its_slot() {
+    fn dropped_lease_from_leased_cat_returns_to_its_pool() {
         let path = std::env::temp_dir().join(format!(
             "ts-collate-lease-drop-{}.arena",
             std::process::id()
@@ -308,10 +357,50 @@ mod tests {
         let pool = SlotPool::new(arena.clone(), 2);
         let parts = [t(&[1, 2, 3, 4], &[2, 2])];
         let (batch, lease) = cat0_leased(&parts, &pool, DeviceId::Cpu).unwrap();
-        // An item abandoned before publish: dropping tensor + lease must
-        // leave nothing behind in the arena.
+        // An item abandoned before publish: dropping tensor + lease hands
+        // the slot back to the pool, whose next lease recycles it.
         drop(batch);
         drop(lease);
+        assert_eq!(pool.free_count(), 1);
+        let (again, lease) = cat0_leased(&parts, &pool, DeviceId::Cpu).unwrap();
+        assert_eq!(pool.stats().hits, 1);
+        drop((again, lease));
+        pool.drain();
+        assert_eq!(arena.slots_in_use(), 0);
+    }
+
+    #[test]
+    fn leased_batch_buffer_carries_its_lease_until_taken() {
+        let path =
+            std::env::temp_dir().join(format!("ts-collate-batchbuf-{}.arena", std::process::id()));
+        let arena = ts_shm::ShmArena::create(path, 4, 64).unwrap();
+        let pool = SlotPool::new(arena.clone(), 4);
+        let mut buf = BatchBuffer::alloc(Some(&pool), 4);
+        assert!(matches!(buf, BatchBuffer::Leased(_)));
+        buf.bytes_mut().copy_from_slice(&[1, 2, 3, 4]);
+        let t = buf.into_tensor(DType::U8, &[2, 2], DeviceId::Cpu).unwrap();
+        assert!(t.storage().is_shared_memory());
+        assert_eq!(t.to_vec_u8().unwrap(), vec![1, 2, 3, 4]);
+        let other = SlotPool::new(arena.clone(), 4);
+        assert!(t.storage().take_lease(&other).is_none(), "foreign pool");
+        let lease = t.storage().take_lease(&pool).expect("own pool");
+        assert!(t.storage().take_lease(&pool).is_none(), "taken once");
+        let handle = lease.into_handle();
+        assert_eq!(&arena.attach(handle).unwrap()[..], &[1, 2, 3, 4]);
+        drop(t);
+        pool.reclaim(handle);
+        // Unadopted: the storage's drop returns the slot to the pool.
+        let mut buf = BatchBuffer::alloc(Some(&pool), 4);
+        buf.bytes_mut().fill(9);
+        drop(buf.into_tensor(DType::U8, &[4], DeviceId::Cpu).unwrap());
+        assert_eq!(pool.free_count(), 1);
+        assert_eq!(pool.stats().misses, 1, "every lease after the first hit");
+        // Too large for a slot: the heap serves it.
+        assert!(matches!(
+            BatchBuffer::alloc(Some(&pool), 65),
+            BatchBuffer::Heap(_)
+        ));
+        pool.drain();
         assert_eq!(arena.slots_in_use(), 0);
     }
 

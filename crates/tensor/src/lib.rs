@@ -34,11 +34,11 @@ pub mod shape;
 pub mod storage;
 pub mod tensor;
 
-pub use collate::{cat0, cat0_leased, stack0};
+pub use collate::{cat0, cat0_leased, stack0, BatchBuffer};
 pub use context::DeviceCtx;
 pub use dtype::DType;
 pub use payload::TensorPayload;
-pub use pool::{MemoryPool, SlotPool, SlotPoolStats};
+pub use pool::{MemoryPool, PoolBinding, SlotLease, SlotPool, SlotPoolStats};
 pub use registry::SharedRegistry;
 pub use shape::{contiguous_strides, Shape};
 pub use storage::Storage;

@@ -17,10 +17,18 @@
 //!   steady-state publish path performs **zero arena allocations**: each
 //!   placement is a generation bump plus one memcpy into an already-owned
 //!   slot. Its [`SlotPool::stats`] make that property assertable.
+//!
+//!   A [`SlotLease`] hands out a recycled slot *before* its bytes exist,
+//!   so a writer — the data loader decoding a batch, or the producer
+//!   collating one — fills it in place and the publish moves no bytes.
+//!   [`SlotPool::bind_to_thread`] is how a producer lends its pool to the
+//!   loader it wraps.
 
 use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::Arc;
-use ts_shm::{ShmArena, ShmError, ShmHandle};
+use ts_shm::{ShmArena, ShmError, ShmHandle, ShmLease};
 
 #[derive(Debug, Default)]
 struct PoolInner {
@@ -153,10 +161,11 @@ pub struct SlotPool {
 
 impl SlotPool {
     /// A pool over `arena` retaining at most `max_free` idle slots (the
-    /// "pool depth"). Size it like the publish window: `buffer_size ×
-    /// (fields + labels)` plus rubberband headroom — deep enough that a
-    /// full window of in-flight batches can recycle without ever probing
-    /// the arena, shallow enough to leave slots for other arena users.
+    /// "pool depth"). Size it like the set of batches in flight — the
+    /// publish window plus rubberband headroom, plus the batches queued
+    /// ahead of publish and held by loader workers, × (fields + labels) —
+    /// deep enough that they all recycle without ever probing the arena,
+    /// shallow enough to leave slots for other arena users.
     pub fn new(arena: Arc<ShmArena>, max_free: usize) -> Self {
         Self {
             arena,
@@ -210,6 +219,7 @@ impl SlotPool {
     /// producer reference is held by the caller until
     /// [`SlotPool::reclaim`].
     pub fn place(&self, bytes: &[u8]) -> Result<ShmHandle, ShmError> {
+        self.check_fits(bytes.len())?;
         loop {
             let candidate = self.inner.lock().free.pop();
             let Some(handle) = candidate else {
@@ -246,22 +256,23 @@ impl SlotPool {
     /// a consumer still mapping acked contents — are abandoned exactly as
     /// in `place`.
     ///
-    /// The caller collates directly into [`ts_shm::ShmLease::bytes_mut`]
-    /// and then publishes [`ts_shm::ShmLease::into_handle`]; the handle's
-    /// producer reference comes back via [`SlotPool::reclaim`] like any
-    /// placed slot's.
-    pub fn lease(&self, len: usize) -> Result<ts_shm::ShmLease, ShmError> {
+    /// The caller writes directly into [`SlotLease::bytes_mut`] and then
+    /// publishes [`SlotLease::into_handle`]; the handle's producer
+    /// reference comes back via [`SlotPool::reclaim`] like any placed
+    /// slot's. A lease dropped unpublished is reclaimed into this pool.
+    pub fn lease(&self, len: usize) -> Result<SlotLease, ShmError> {
+        self.check_fits(len)?;
         loop {
             let candidate = self.inner.lock().free.pop();
             let Some(handle) = candidate else {
                 let lease = self.arena.lease(len)?;
                 self.inner.lock().misses += 1;
-                return Ok(lease);
+                return Ok(self.wrap(lease));
             };
             match self.arena.try_recycle_in_place(handle, len) {
                 Ok(lease) => {
                     self.inner.lock().hits += 1;
-                    return Ok(lease);
+                    return Ok(self.wrap(lease));
                 }
                 Err(ShmError::Busy { .. }) => {
                     self.arena.release(handle);
@@ -273,6 +284,51 @@ impl SlotPool {
                 }
             }
         }
+    }
+
+    /// Refuses a request larger than a slot before any slot is popped:
+    /// recycling would fail on it and cost the pool the popped slot.
+    fn check_fits(&self, len: usize) -> Result<(), ShmError> {
+        if len > self.arena.slot_size() {
+            return Err(ShmError::TooLarge {
+                requested: len,
+                slot_size: self.arena.slot_size(),
+            });
+        }
+        Ok(())
+    }
+
+    fn wrap(&self, lease: ShmLease) -> SlotLease {
+        SlotLease {
+            lease: Some(lease),
+            pool: self.clone(),
+        }
+    }
+
+    /// True when `other` is a clone of this pool (same free list).
+    pub(crate) fn same_pool(&self, other: &SlotPool) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// Binds this pool as the calling thread's batch-buffer pool until the
+    /// returned guard drops (restoring the previous binding). Code that
+    /// assembles batches on this thread — or captures
+    /// [`SlotPool::bound`] here for its worker threads, as the data
+    /// loader does when an epoch starts — then writes batches straight
+    /// into slots leased from this pool. This is how a producer lends its
+    /// arena to the loader it wraps without widening the loader's API.
+    pub fn bind_to_thread(&self) -> PoolBinding {
+        let prev = BOUND_POOL.with(|b| b.replace(Some(self.clone())));
+        PoolBinding {
+            prev,
+            _not_send: PhantomData,
+        }
+    }
+
+    /// The pool bound to the calling thread by
+    /// [`SlotPool::bind_to_thread`], if any.
+    pub fn bound() -> Option<SlotPool> {
+        BOUND_POOL.with(|b| b.borrow().clone())
     }
 
     /// Takes back a slot whose batch was fully acked, keeping its producer
@@ -312,6 +368,90 @@ impl SlotPool {
     /// Idle slots currently owned by the pool.
     pub fn free_count(&self) -> usize {
         self.inner.lock().free.len()
+    }
+}
+
+thread_local! {
+    static BOUND_POOL: RefCell<Option<SlotPool>> = const { RefCell::new(None) };
+}
+
+/// Scope guard of [`SlotPool::bind_to_thread`]; restores the thread's
+/// previous binding on drop. Not `Send`: the binding belongs to the
+/// thread that made it.
+#[must_use = "the binding lasts only while the guard lives"]
+pub struct PoolBinding {
+    prev: Option<SlotPool>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for PoolBinding {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        BOUND_POOL.with(|b| *b.borrow_mut() = prev);
+    }
+}
+
+/// A writable slot leased from a [`SlotPool`], before publication.
+///
+/// Write the bytes through [`SlotLease::bytes_mut`], then hand the
+/// producer reference on with [`SlotLease::into_handle`] (normally into
+/// [`crate::SharedRegistry::register_placed`], whose release reclaims
+/// the slot into the pool). A lease dropped without that — a batch that
+/// never reached publish, a field a producer map replaced, shutdown —
+/// returns its slot to the pool it came from, not to the arena, so the
+/// pool's free list keeps its depth and later leases stay hits.
+pub struct SlotLease {
+    /// `Some` until the producer reference is handed on.
+    lease: Option<ShmLease>,
+    pool: SlotPool,
+}
+
+impl SlotLease {
+    /// The handle this lease will publish as (see
+    /// [`ts_shm::ShmLease::handle`]).
+    pub fn handle(&self) -> ShmHandle {
+        self.lease
+            .as_ref()
+            .expect("lease armed until consumed")
+            .handle()
+    }
+
+    /// The pool the slot came from.
+    pub(crate) fn pool(&self) -> &SlotPool {
+        &self.pool
+    }
+
+    /// The writable byte range of the leased slot.
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        self.lease
+            .as_mut()
+            .expect("lease armed until consumed")
+            .bytes_mut()
+    }
+
+    /// Hands the slot's producer reference to the returned handle; the
+    /// caller now owns it and gives it back with [`SlotPool::reclaim`].
+    pub fn into_handle(mut self) -> ShmHandle {
+        self.lease
+            .take()
+            .expect("lease armed until consumed")
+            .into_handle()
+    }
+}
+
+impl std::fmt::Debug for SlotLease {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlotLease")
+            .field("handle", &self.lease.as_ref().map(ShmLease::handle))
+            .finish()
+    }
+}
+
+impl Drop for SlotLease {
+    fn drop(&mut self) {
+        if let Some(lease) = self.lease.take() {
+            self.pool.reclaim(lease.into_handle());
+        }
     }
 }
 
@@ -421,6 +561,21 @@ mod tests {
         assert_eq!(stats.busy_discards, 1);
         drop(view);
         pool.reclaim(h2);
+        pool.drain();
+        assert_eq!(arena.slots_in_use(), 0);
+    }
+
+    #[test]
+    fn oversized_requests_keep_the_pools_slots() {
+        let arena = test_arena("oversized", 4, 64);
+        let pool = SlotPool::new(arena.clone(), 4);
+        assert_eq!(pool.preallocate(2), 2);
+        assert!(matches!(pool.lease(65), Err(ShmError::TooLarge { .. })));
+        assert!(matches!(
+            pool.place(&[0u8; 65]),
+            Err(ShmError::TooLarge { .. })
+        ));
+        assert_eq!(pool.free_count(), 2, "no free slot was given up");
         pool.drain();
         assert_eq!(arena.slots_in_use(), 0);
     }

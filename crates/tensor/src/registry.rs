@@ -51,15 +51,28 @@ struct Registration {
     refs: u64,
 }
 
+/// Who holds the producer reference of a registered storage's slot, i.e.
+/// what the final [`SharedRegistry::release`] does with it.
+#[derive(Debug, Clone, Copy)]
+enum SlotOwner {
+    /// A raw arena allocation: the reference goes back to the arena.
+    Arena,
+    /// Placed through a recycling pool (`Some(shard)` = that shard's
+    /// pool, `None` = the default pool): the slot is reclaimed into it.
+    Pool(Option<u32>),
+    /// The storage is itself a view of the slot (an arena-backed tensor
+    /// re-shared). Its view reference, held through the registration,
+    /// pins the slot until release; whoever leased the slot keeps the
+    /// producer reference.
+    View,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     storages: HashMap<u64, Registration>,
-    /// Producer side: arena placement of registered storages.
-    handles: HashMap<u64, ShmHandle>,
-    /// Which pool placed each handle (`Some(shard)` = that shard's pool,
-    /// `None` = the default pool), so the release reclaims into the pool
-    /// that owns the slot. Absent = raw arena allocation.
-    placed_by: HashMap<u64, Option<u32>>,
+    /// Producer side: arena placement of registered storages, and who
+    /// owns the placement's producer reference.
+    handles: HashMap<u64, (ShmHandle, SlotOwner)>,
 }
 
 /// A process-wide table mapping storage ids to live storages, optionally
@@ -179,7 +192,14 @@ impl SharedRegistry {
     /// group: arena placement goes through the shard's own recycling pool
     /// (see [`SharedRegistry::bind_shard_slot_pool`]), falling back to
     /// the default pool, then to raw arena allocation.
-    pub fn register_for_shard(&self, storage: &Arc<Storage>, shard: Option<u32>) {
+    ///
+    /// A storage that is already a view of this registry's arena (a
+    /// re-shared consumer-side tensor, or a leased batch whose lease was
+    /// not adopted) is placed where it lies: its handle is recorded, and
+    /// the registration's reference to the storage pins the slot until
+    /// [`SharedRegistry::release`]. A view of any other arena is copied
+    /// like heap bytes. Returns the payload bytes copied into the arena.
+    pub fn register_for_shard(&self, storage: &Arc<Storage>, shard: Option<u32>) -> usize {
         let arena = self.arena.lock().clone();
         {
             let mut inner = self.inner.lock();
@@ -188,7 +208,7 @@ impl SharedRegistry {
                 // registration still pinned): count it; the existing
                 // arena placement keeps serving both.
                 reg.refs += 1;
-                return;
+                return 0;
             }
             inner.storages.insert(
                 storage.id(),
@@ -197,44 +217,64 @@ impl SharedRegistry {
                     refs: 1,
                 },
             );
+            let Some(arena) = &arena else { return 0 };
+            if let Some(view) = storage.shm_view() {
+                let own = Arc::ptr_eq(view.arena(), arena) || view.arena().path() == arena.path();
+                if own {
+                    inner
+                        .handles
+                        .insert(storage.id(), (view.handle(), SlotOwner::View));
+                    return 0;
+                }
+            }
         }
         // The arena copy happens outside the table lock so concurrent
         // lookups/releases never stall behind a large memcpy.
-        let Some(arena) = arena else { return };
-        // Never re-copy a storage that is itself an arena view (a
-        // producer re-sharing a consumer-side tensor).
-        if storage.is_shared_memory() {
-            return;
-        }
+        let Some(arena) = arena else { return 0 };
         let (pool, pool_key) = self.pool_for(shard);
         let placed = match &pool {
             Some(pool) => pool.place(storage.bytes()),
             None => arena.alloc(storage.bytes()),
         };
-        if let Ok(handle) = placed {
-            let mut inner = self.inner.lock();
-            if inner.storages.contains_key(&storage.id()) {
-                inner.handles.insert(storage.id(), handle);
-                if pool.is_some() {
-                    inner.placed_by.insert(storage.id(), pool_key);
-                }
-            } else {
-                // Racing release already removed the storage: give the
-                // slot straight back instead of leaking it.
-                drop(inner);
-                match &pool {
-                    Some(pool) => pool.reclaim(handle),
-                    None => {
-                        arena.release(handle);
-                    }
-                }
-            }
+        let Ok(handle) = placed else { return 0 };
+        let owner = match pool {
+            Some(_) => SlotOwner::Pool(pool_key),
+            None => SlotOwner::Arena,
+        };
+        let mut inner = self.inner.lock();
+        if inner.storages.contains_key(&storage.id()) {
+            inner.handles.insert(storage.id(), (handle, owner));
+            storage.len()
+        } else {
+            // Racing release already removed the storage: give the
+            // slot straight back instead of leaking it.
+            drop(inner);
+            self.give_back(handle, owner);
+            0
         }
     }
 
-    /// Copyless registration for a feeder-leased slot: `storage` is itself
-    /// a view of the arena slot behind `handle` (the feeder collated
-    /// directly into the leased byte range), so there is nothing to place
+    /// Returns a slot's producer reference to its owner: the pool that
+    /// placed it (recycling keeps the reference), else the arena.
+    fn give_back(&self, handle: ShmHandle, owner: SlotOwner) {
+        let pool = match owner {
+            SlotOwner::View => return,
+            SlotOwner::Pool(key) => self.pool_by_key(key),
+            SlotOwner::Arena => None,
+        };
+        match (pool, self.arena.lock().clone()) {
+            (Some(pool), _) => pool.reclaim(handle),
+            (None, Some(arena)) => {
+                arena.release(handle);
+            }
+            (None, None) => {}
+        }
+    }
+
+    /// Copyless registration for a leased slot: `storage` is itself a view
+    /// of the arena slot behind `handle` (the loader decoded, or the
+    /// feeder collated, directly into the leased byte range), so there is
+    /// nothing to place
     /// — the table simply adopts the handle, whose producer reference the
     /// lease transferred to the caller. `pool_key` names the recycling
     /// pool the lease came from ([`SharedRegistry::lease_pool`]); the
@@ -262,27 +302,21 @@ impl SharedRegistry {
                         refs: 1,
                     },
                 );
-                inner.handles.insert(storage.id(), handle);
-                inner.placed_by.insert(storage.id(), pool_key);
+                inner
+                    .handles
+                    .insert(storage.id(), (handle, SlotOwner::Pool(pool_key)));
                 return;
             }
         }
         // Duplicate: the id already has a live placement serving every
         // consumer; give the redundant slot back (outside the table lock).
-        match self.pool_by_key(pool_key) {
-            Some(pool) => pool.reclaim(handle),
-            None => {
-                if let Some(arena) = self.arena.lock().clone() {
-                    arena.release(handle);
-                }
-            }
-        }
+        self.give_back(handle, SlotOwner::Pool(pool_key));
     }
 
     /// The arena placement of a registered storage (producer side, arena
     /// bound, allocation succeeded).
     pub fn shm_handle(&self, storage_id: u64) -> Option<ShmHandle> {
-        self.inner.lock().handles.get(&storage_id).copied()
+        self.inner.lock().handles.get(&storage_id).map(|(h, _)| *h)
     }
 
     /// Resolves a storage id to the live storage.
@@ -333,35 +367,30 @@ impl SharedRegistry {
     /// consumers hold a reference"). The arena slot likewise keeps its
     /// bytes until every cross-process view lets go.
     pub fn release(&self, storage_id: u64) -> bool {
-        let arena = self.arena.lock().clone();
-        let mut inner = self.inner.lock();
-        match inner.storages.get_mut(&storage_id) {
-            None => return false,
-            Some(reg) if reg.refs > 1 => {
-                reg.refs -= 1;
-                return true;
-            }
-            Some(_) => {}
-        }
-        if let Some(handle) = inner.handles.remove(&storage_id) {
-            // Reclaim into the pool that placed the slot (a shard's own
-            // pool, or the default one); raw allocations go back to the
-            // arena.
-            let pool = match inner.placed_by.remove(&storage_id) {
-                Some(Some(shard)) => self.shard_pools.lock().get(&shard).cloned(),
-                Some(None) => self.slot_pool.lock().clone(),
-                None => None,
-            };
-            match (pool, arena) {
-                // Recycling: keep the producer reference, rewrite later.
-                (Some(pool), _) => pool.reclaim(handle),
-                (None, Some(arena)) => {
-                    arena.release(handle);
+        let (placement, registration) = {
+            let mut inner = self.inner.lock();
+            match inner.storages.get_mut(&storage_id) {
+                None => return false,
+                Some(reg) if reg.refs > 1 => {
+                    reg.refs -= 1;
+                    return true;
                 }
-                (None, None) => {}
+                Some(_) => {}
             }
+            (
+                inner.handles.remove(&storage_id),
+                inner.storages.remove(&storage_id),
+            )
+        };
+        // Drop the registration's storage reference first: for a re-shared
+        // arena view that is the reference pinning the slot.
+        drop(registration);
+        // Reclaim into the pool that placed the slot (a shard's own pool,
+        // or the default one); raw allocations go back to the arena.
+        if let Some((handle, owner)) = placement {
+            self.give_back(handle, owner);
         }
-        inner.storages.remove(&storage_id).is_some()
+        true
     }
 
     /// Number of registered storages.
@@ -624,6 +653,62 @@ mod tests {
         drop(s);
         pool.drain();
         assert_eq!(arena.slots_in_use(), 0);
+    }
+
+    #[test]
+    fn reshared_arena_view_resolves_through_another_registry() {
+        let path = std::env::temp_dir().join(format!(
+            "ts-registry-test-{}-reshare.arena",
+            std::process::id()
+        ));
+        let arena = ShmArena::create(&path, 4, 64).unwrap();
+        let producer = SharedRegistry::new();
+        producer.bind_arena(arena.clone());
+        let s = Arc::new(Storage::new(vec![4u8; 16], DeviceId::Cpu));
+        producer.register(&s);
+        let payload = crate::TensorPayload::pack_shared(
+            &crate::Tensor::from_parts(s.clone(), crate::DType::U8, vec![16], vec![1], 0).unwrap(),
+            &producer,
+        );
+        // A consumer opened on the same arena file rebuilds an arena view
+        // and re-shares it through its own registry.
+        let resharer = SharedRegistry::new();
+        resharer.bind_arena(ShmArena::open(&path).unwrap());
+        let view = payload.unpack(&resharer).unwrap();
+        assert!(view.storage().is_shared_memory());
+        assert_eq!(
+            resharer.register_for_shard(view.storage(), None),
+            0,
+            "no copy"
+        );
+        let reshared = crate::TensorPayload::pack_shared(&view, &resharer);
+        assert!(reshared.shm.is_some(), "re-shared view announces its slot");
+        // Both originals let go: the re-share's registration alone pins
+        // the slot, and a third registry still resolves the payload.
+        drop(view);
+        producer.release(s.id());
+        drop(s);
+        let reader = SharedRegistry::new();
+        reader.bind_arena(ShmArena::open(&path).unwrap());
+        let got = reshared.unpack(&reader).unwrap();
+        assert_eq!(got.to_vec_u8().unwrap(), vec![4u8; 16]);
+        drop(got);
+        assert!(resharer.release(reshared.storage_id));
+        assert_eq!(arena.slots_in_use(), 0, "the pin dropped with the release");
+        // A view of a *different* arena is copied into this one.
+        let other = SharedRegistry::new();
+        other.bind_arena(test_arena("reshare-other", 2, 64));
+        let src = Arc::new(Storage::new(vec![6u8; 8], DeviceId::Cpu));
+        producer.register(&src);
+        let foreign = resharer
+            .resolve(src.id(), producer.shm_handle(src.id()), DeviceId::Cpu)
+            .unwrap();
+        assert_eq!(other.register_for_shard(&foreign, None), 8, "copied");
+        let h = other.shm_handle(foreign.id()).expect("placed in own arena");
+        assert_eq!(&other.arena().unwrap().attach(h).unwrap()[..], &[6u8; 8]);
+        other.release(foreign.id());
+        assert_eq!(other.arena().unwrap().slots_in_use(), 0);
+        producer.release(src.id());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! real TensorSocket extracts from PyTorch tensors (§3.2.4): unique for the
 //! lifetime of the process, never reused.
 
-use crate::pool::PoolReturn;
+use crate::pool::{PoolReturn, SlotLease, SlotPool};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use ts_device::DeviceId;
 
@@ -72,6 +73,11 @@ pub struct Storage {
     device: DeviceId,
     data: Backing,
     reclaim: Option<Reclaim>,
+    /// The producer reference of the arena slot `data` views, while no
+    /// registry has adopted it ([`Storage::from_lease`]). Declared after
+    /// `data` so the view's reference drops first and an abandoned lease
+    /// returns an unpinned slot to its pool.
+    lease: Mutex<Option<SlotLease>>,
 }
 
 impl Storage {
@@ -82,6 +88,7 @@ impl Storage {
             device,
             data: Backing::Owned(Some(data)),
             reclaim: None,
+            lease: Mutex::new(None),
         }
     }
 
@@ -92,6 +99,7 @@ impl Storage {
             device,
             data: Backing::Owned(Some(data)),
             reclaim: Some(Reclaim::Pool(pool)),
+            lease: Mutex::new(None),
         }
     }
 
@@ -113,6 +121,7 @@ impl Storage {
             device,
             data: Backing::Owned(Some(data)),
             reclaim: Some(Reclaim::Hook(reclaim)),
+            lease: Mutex::new(None),
         }
     }
 
@@ -126,6 +135,34 @@ impl Storage {
             device,
             data: Backing::Shm(view),
             reclaim: None,
+            lease: Mutex::new(None),
+        }
+    }
+
+    /// Freezes a written [`SlotLease`] into a storage (fresh id) that
+    /// views the slot and carries the lease until a publisher adopts it
+    /// with [`Storage::take_lease`]. Unadopted, the lease returns its
+    /// slot to its pool when the last reference drops.
+    pub(crate) fn from_lease(lease: SlotLease, device: DeviceId) -> Result<Self, ts_shm::ShmError> {
+        let view = lease.pool().arena().attach(lease.handle())?;
+        Ok(Self {
+            id: fresh_storage_id(),
+            device,
+            data: Backing::Shm(view),
+            reclaim: None,
+            lease: Mutex::new(Some(lease)),
+        })
+    }
+
+    /// Takes the slot lease this storage carries, if it came from `pool`
+    /// and nobody took it yet — the hand-over that lets a publisher adopt
+    /// the slot ([`crate::SharedRegistry::register_placed`]) with no byte
+    /// moved. The storage keeps viewing the slot either way.
+    pub fn take_lease(&self, pool: &SlotPool) -> Option<SlotLease> {
+        let mut lease = self.lease.lock();
+        match &*lease {
+            Some(l) if l.pool().same_pool(pool) => lease.take(),
+            _ => None,
         }
     }
 
@@ -143,6 +180,14 @@ impl Storage {
     /// process's heap.
     pub fn is_shared_memory(&self) -> bool {
         matches!(self.data, Backing::Shm(_))
+    }
+
+    /// The shared-memory view this storage wraps, when it is one.
+    pub(crate) fn shm_view(&self) -> Option<&ts_shm::ShmView> {
+        match &self.data {
+            Backing::Shm(view) => Some(view),
+            Backing::Owned(_) => None,
+        }
     }
 
     /// True when this storage's buffer returns to an external owner via a
