@@ -251,8 +251,9 @@ impl ProducerBuilder {
     /// queued ahead of publish, and the batches loader workers hold
     /// (`num_workers × (prefetch_factor + 1)`: a `DataLoader` decodes into
     /// leased slots) — × tensors per batch × shards. A matching recycling
-    /// slot pool is bound per shard, so steady-state publishing performs
-    /// zero arena allocations. The geometry is advertised over the attach
+    /// slot pool is bound per shard and starts with its slots reserved,
+    /// so publishing performs zero arena allocations from the first
+    /// batch. The geometry is advertised over the attach
     /// handshake — consumers map the arena without being told its path.
     ///
     /// Fails at spawn when the source cannot report its geometry; use
@@ -412,7 +413,9 @@ impl ProducerBuilder {
         // Bind a recycling pool per shard so steady-state publishing
         // rewrites fully-acked slots in place. Depth mirrors the live-set
         // math above; explicit-geometry callers get it derived from the
-        // arena itself.
+        // arena itself. Each pool starts with its depth reserved, so no
+        // first touch of the live set — however late in the run the peak
+        // comes — claims a fresh slot.
         for (shard, source) in sources.iter().enumerate() {
             let depth = match tensors_per_batch {
                 Some(tensors) => live_batches(cfg, source) * tensors,

@@ -120,13 +120,16 @@ impl TsContext {
     /// [`ts_tensor::SlotPool::drain`] releases idle slots back to the
     /// arena (e.g. after the producer joins, so `slots_in_use` reaches 0).
     ///
+    /// The pool starts full: it reserves `depth` idle slots up front (as
+    /// many as the arena has free), so the first batches recycle too and a
+    /// miss means the in-flight set outgrew `depth` — whenever in the run
+    /// that happens. Idle reserved slots count in the arena's
+    /// `slots_in_use` until drained.
+    ///
     /// Size `depth` like the in-flight set: `buffer_size × (fields per
     /// batch + 1 label tensor)` plus rubberband headroom.
     pub fn enable_slot_recycling(&self, depth: usize) -> Result<ts_tensor::SlotPool> {
-        let arena = self.registry.arena().ok_or_else(|| {
-            TsError::Arena("no arena bound: call create_arena before enabling recycling".into())
-        })?;
-        let pool = ts_tensor::SlotPool::new(arena, depth);
+        let pool = self.reserved_pool(depth)?;
         self.registry.bind_slot_pool(pool.clone());
         Ok(pool)
     }
@@ -135,7 +138,9 @@ impl TsContext {
     /// binds one recycling pool of `depth` idle slots for shard `shard`,
     /// over the same arena. Each shard's publish pipeline then recycles
     /// its own slots — no cross-shard contention on one free list, and
-    /// per-shard [`ts_tensor::SlotPool::stats`] stay attributable. Call
+    /// per-shard [`ts_tensor::SlotPool::stats`] stay attributable. The
+    /// pool starts full, as [`TsContext::enable_slot_recycling`]'s does.
+    /// Call
     /// once per shard after [`TsContext::create_arena`]; shards without
     /// their own pool fall back to the default pool (if
     /// [`TsContext::enable_slot_recycling`] was called) or raw arena
@@ -145,11 +150,19 @@ impl TsContext {
         shard: u32,
         depth: usize,
     ) -> Result<ts_tensor::SlotPool> {
+        let pool = self.reserved_pool(depth)?;
+        self.registry.bind_shard_slot_pool(shard, pool.clone());
+        Ok(pool)
+    }
+
+    /// A pool of `depth` over the bound arena, holding up to `depth`
+    /// reserved slots.
+    fn reserved_pool(&self, depth: usize) -> Result<ts_tensor::SlotPool> {
         let arena = self.registry.arena().ok_or_else(|| {
             TsError::Arena("no arena bound: call create_arena before enabling recycling".into())
         })?;
         let pool = ts_tensor::SlotPool::new(arena, depth);
-        self.registry.bind_shard_slot_pool(shard, pool.clone());
+        pool.preallocate(depth);
         Ok(pool)
     }
 }

@@ -7,7 +7,7 @@
 //! corpus). With TensorSocket, consumers of a subset simply attach to the
 //! producer of the superset's loader.
 
-use crate::sample::{Dataset, DecodedSample, RawSample};
+use crate::sample::{Dataset, DecodedSample, FieldLayout, RawSample};
 use crate::{DataError, Result};
 use std::sync::Arc;
 
@@ -52,6 +52,17 @@ impl ConcatDataset {
             .saturating_sub(1);
         Ok((part, index - self.offsets[part]))
     }
+
+    /// The part holding `raw`, and `raw` re-indexed into it.
+    fn local(&self, raw: &RawSample) -> Result<(usize, RawSample)> {
+        let (part, index) = self.locate(raw.index)?;
+        let local = RawSample {
+            index,
+            bytes: raw.bytes.clone(),
+            label: raw.label,
+        };
+        Ok((part, local))
+    }
 }
 
 impl Dataset for ConcatDataset {
@@ -76,15 +87,20 @@ impl Dataset for ConcatDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample> {
-        let (part, local) = self.locate(raw.index)?;
-        let local_raw = RawSample {
-            index: local,
-            bytes: raw.bytes.clone(),
-            label: raw.label,
-        };
+        let (part, local_raw) = self.local(raw)?;
         let mut dec = self.parts[part].decode(&local_raw)?;
         dec.index = raw.index;
         Ok(dec)
+    }
+
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        layout: &[FieldLayout],
+        out: &mut [&mut [u8]],
+    ) -> Result<i64> {
+        let (part, local_raw) = self.local(raw)?;
+        self.parts[part].decode_into(&local_raw, layout, out)
     }
 
     fn name(&self) -> &str {
@@ -118,6 +134,22 @@ impl SubsetDataset {
         let n = n.min(base.len());
         Self::new(base, (0..n).collect())
     }
+
+    /// `raw` re-indexed into `base`, for `base` to decode.
+    fn base_raw(&self, raw: &RawSample) -> Result<RawSample> {
+        let &index = self
+            .indices
+            .get(raw.index)
+            .ok_or(DataError::IndexOutOfRange {
+                index: raw.index,
+                len: self.indices.len(),
+            })?;
+        Ok(RawSample {
+            index,
+            bytes: raw.bytes.clone(),
+            label: raw.label,
+        })
+    }
 }
 
 impl Dataset for SubsetDataset {
@@ -140,21 +172,18 @@ impl Dataset for SubsetDataset {
     }
 
     fn decode(&self, raw: &RawSample) -> Result<DecodedSample> {
-        let &base_index = self
-            .indices
-            .get(raw.index)
-            .ok_or(DataError::IndexOutOfRange {
-                index: raw.index,
-                len: self.indices.len(),
-            })?;
-        let base_raw = RawSample {
-            index: base_index,
-            bytes: raw.bytes.clone(),
-            label: raw.label,
-        };
-        let mut dec = self.base.decode(&base_raw)?;
+        let mut dec = self.base.decode(&self.base_raw(raw)?)?;
         dec.index = raw.index;
         Ok(dec)
+    }
+
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        layout: &[FieldLayout],
+        out: &mut [&mut [u8]],
+    ) -> Result<i64> {
+        self.base.decode_into(&self.base_raw(raw)?, layout, out)
     }
 
     fn name(&self) -> &str {

@@ -28,7 +28,7 @@ pub mod transforms;
 
 pub use combinators::{ConcatDataset, SubsetDataset};
 pub use loader::{Batch, DataLoader, DataLoaderConfig, EpochIter};
-pub use sample::{Dataset, DecodedSample, RawSample};
+pub use sample::{check_row, Dataset, DecodedSample, FieldLayout, RawSample};
 pub use sampler::{shard_bounds, Sampler, SequentialSampler, ShardedSampler, ShuffleSampler};
 pub use synthetic::{
     SyntheticAudioDataset, SyntheticCaptionDataset, SyntheticImageDataset, SyntheticTextDataset,

@@ -17,7 +17,7 @@
 //! producer publishes them without moving a byte. Otherwise, or when a
 //! lease fails, they are heap buffers.
 
-use crate::sample::{Dataset, RawSample};
+use crate::sample::{check_row, Dataset, FieldLayout, RawSample};
 use crate::sampler::{shard_bounds, Sampler, SequentialSampler, ShardedSampler, ShuffleSampler};
 use crate::transforms::Pipeline;
 use crate::{DataError, Result};
@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use ts_device::DeviceId;
 use ts_metrics::Registry;
-use ts_tensor::{BatchBuffer, DType, SlotPool, Tensor, TensorError};
+use ts_tensor::{BatchBuffer, DType, SlotPool, Tensor};
 
 /// Configuration mirroring `torch.utils.data.DataLoader` arguments.
 #[derive(Debug, Clone)]
@@ -254,7 +254,7 @@ impl DataLoader {
                 .step_by(workers)
                 .map(|(i, b)| (i, b.clone()))
                 .collect();
-            let mut builder = self.builder(epoch, num_batches, pool.clone());
+            let builder = self.builder(epoch, num_batches, pool.clone());
             handles.push(std::thread::spawn(move || {
                 for (index, sample_indices) in my_batches {
                     let out = builder.build(index, &sample_indices);
@@ -279,55 +279,7 @@ impl DataLoader {
             epoch,
             num_batches,
             pool,
-            layout: None,
         }
-    }
-}
-
-/// What every row of one batch field holds: one sample's tensor meta.
-struct FieldLayout {
-    dtype: DType,
-    shape: Vec<usize>,
-    device: DeviceId,
-}
-
-impl FieldLayout {
-    fn of(t: &Tensor) -> Self {
-        Self {
-            dtype: t.dtype(),
-            shape: t.shape().to_vec(),
-            device: t.device(),
-        }
-    }
-
-    fn row_bytes(&self) -> usize {
-        self.shape.iter().product::<usize>() * self.dtype.size_bytes()
-    }
-
-    /// Fails when `t` cannot be a row of this field — the checks, and
-    /// errors, of `collate::stack0`.
-    fn check(&self, t: &Tensor) -> std::result::Result<(), TensorError> {
-        if t.dtype() != self.dtype {
-            return Err(TensorError::DType {
-                expected: self.dtype,
-                got: t.dtype(),
-            });
-        }
-        if t.shape() != self.shape.as_slice() {
-            return Err(TensorError::Shape(format!(
-                "collate shape mismatch: {:?} vs {:?}",
-                t.shape(),
-                self.shape
-            )));
-        }
-        if t.device() != self.device {
-            return Err(TensorError::Device(format!(
-                "collate device mismatch: {} vs {}",
-                t.device(),
-                self.device
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -346,39 +298,33 @@ impl Rows {
         Self { layout, bufs }
     }
 
-    /// Row `row` of every field, the `out` of [`Dataset::decode_into`].
-    fn row(&mut self, row: usize) -> Vec<&mut [u8]> {
-        self.bufs
+    /// The layout and row `row` of every field: the `layout` and `out` of
+    /// [`Dataset::decode_into`].
+    fn row(&mut self, row: usize) -> (&[FieldLayout], Vec<&mut [u8]>) {
+        let out = self
+            .bufs
             .iter_mut()
             .zip(&self.layout)
             .map(|(buf, l)| {
                 let w = l.row_bytes();
                 &mut buf.bytes_mut()[row * w..(row + 1) * w]
             })
-            .collect()
+            .collect();
+        (&self.layout, out)
     }
 
     /// Copies one decoded sample into row `row`, after the `stack0` checks.
     fn copy_row(&mut self, row: usize, fields: &[Tensor]) -> Result<()> {
-        if fields.len() != self.layout.len() {
-            return Err(TensorError::Shape(format!(
-                "collate field count mismatch: {} vs {}",
-                fields.len(),
-                self.layout.len()
-            ))
-            .into());
-        }
-        for (l, t) in self.layout.iter().zip(fields) {
-            l.check(t)?;
-        }
-        for (t, dst) in fields.iter().zip(self.row(row)) {
+        let (layout, mut out) = self.row(row);
+        check_row(layout, &out, fields.iter().map(FieldLayout::meta))?;
+        for (t, dst) in fields.iter().zip(out.iter_mut()) {
             t.copy_bytes_into(dst)?;
         }
         Ok(())
     }
 
     /// Freezes the buffers into `[samples, ...]` tensors.
-    fn finish(self, samples: usize) -> Result<(Vec<Tensor>, Vec<FieldLayout>)> {
+    fn finish(self, samples: usize) -> Result<Vec<Tensor>> {
         let mut fields = Vec::with_capacity(self.bufs.len());
         for (buf, l) in self.bufs.into_iter().zip(&self.layout) {
             let mut shape = Vec::with_capacity(l.shape.len() + 1);
@@ -386,7 +332,7 @@ impl Rows {
             shape.extend_from_slice(&l.shape);
             fields.push(buf.into_tensor(l.dtype, &shape, l.device)?);
         }
-        Ok((fields, self.layout))
+        Ok(fields)
     }
 }
 
@@ -400,16 +346,10 @@ struct BatchBuilder {
     /// Where batch buffers are leased from (the pool bound on the thread
     /// that started the epoch); `None` builds on the heap.
     pool: Option<SlotPool>,
-    /// The previous batch's layout: the next batch's first sample decodes
-    /// in place under it when it fits, so only the first batch (or one
-    /// whose samples changed size) decodes a row to learn the layout. A
-    /// dataset relying on the default [`Dataset::decode_into`] whose
-    /// samples change shape but not byte size keeps the earlier shape.
-    layout: Option<Vec<FieldLayout>>,
 }
 
 impl BatchBuilder {
-    fn build(&mut self, index: usize, sample_indices: &[usize]) -> Result<Batch> {
+    fn build(&self, index: usize, sample_indices: &[usize]) -> Result<Batch> {
         let samples = sample_indices.len();
         let mut labels = BatchBuffer::alloc(self.pool.as_ref(), 8 * samples);
         let mut rows: Option<Rows> = None;
@@ -418,19 +358,19 @@ impl BatchBuilder {
             let label = match &mut rows {
                 Some(rows) => self.fill_row(rows, row, &raw, si)?,
                 None => {
-                    let (first, label) = self.first_row(samples, &raw, si)?;
-                    rows = Some(first);
+                    // Row 0 decodes on its own: its tensors give the
+                    // batch's layout, which sizes the buffers.
+                    let (fields, label) = self.decode_row(&raw, si)?;
+                    let layout = fields.iter().map(FieldLayout::of).collect();
+                    let first = rows.insert(Rows::alloc(layout, samples, self.pool.as_ref()));
+                    first.copy_row(0, &fields)?;
                     label
                 }
             };
             labels.bytes_mut()[8 * row..8 * row + 8].copy_from_slice(&label.to_le_bytes());
         }
         let fields = match rows {
-            Some(rows) => {
-                let (fields, layout) = rows.finish(samples)?;
-                self.layout = Some(layout);
-                fields
-            }
+            Some(rows) => rows.finish(samples)?,
             None => Vec::new(),
         };
         let labels = labels.into_tensor(DType::I64, &[samples], DeviceId::Cpu)?;
@@ -448,30 +388,12 @@ impl BatchBuilder {
         })
     }
 
-    /// Allocates the batch's buffers and fills row 0: in place under the
-    /// previous batch's layout when the sample fits it, else by decoding
-    /// the sample to learn the layout (first batch, a transform pipeline,
-    /// or a batch whose samples changed size).
-    fn first_row(&mut self, samples: usize, raw: &RawSample, si: usize) -> Result<(Rows, i64)> {
-        if self.pipeline.is_empty() {
-            if let Some(layout) = self.layout.take() {
-                let mut rows = Rows::alloc(layout, samples, self.pool.as_ref());
-                if let Ok(label) = self.dataset.decode_into(raw, &mut rows.row(0)) {
-                    return Ok((rows, label));
-                }
-            }
-        }
-        let (fields, label) = self.decode_row(raw, si)?;
-        let layout = fields.iter().map(FieldLayout::of).collect();
-        let mut rows = Rows::alloc(layout, samples, self.pool.as_ref());
-        rows.copy_row(0, &fields)?;
-        Ok((rows, label))
-    }
-
-    /// Fills row `row` (> 0) of the batch.
+    /// Fills row `row` (> 0) of the batch: decoded in place, or — with a
+    /// transform pipeline — decoded, transformed and copied in.
     fn fill_row(&self, rows: &mut Rows, row: usize, raw: &RawSample, si: usize) -> Result<i64> {
         if self.pipeline.is_empty() {
-            return self.dataset.decode_into(raw, &mut rows.row(row));
+            let (layout, mut out) = rows.row(row);
+            return self.dataset.decode_into(raw, layout, &mut out);
         }
         let (fields, label) = self.decode_row(raw, si)?;
         rows.copy_row(row, &fields)?;

@@ -2,7 +2,8 @@
 
 use crate::Result;
 use bytes::Bytes;
-use ts_tensor::Tensor;
+use ts_device::DeviceId;
+use ts_tensor::{DType, Tensor, TensorError};
 
 /// An undecoded sample as it comes off storage: encoded bytes plus label.
 #[derive(Debug, Clone)]
@@ -62,26 +63,31 @@ pub trait Dataset: Send + Sync {
     /// row of the batch buffers (arena slots, under a producer), so each
     /// decoded byte is written once.
     ///
-    /// `out` holds one slice per tensor field, each sized to that field's
-    /// bytes in the batch's layout (the layout of the batch's first
-    /// sample). An implementation writes every byte of every slice with
-    /// the field's dense, row-major bytes — exactly what [`Dataset::decode`]
-    /// followed by [`Tensor::copy_bytes_into`] writes — and returns the
-    /// label [`Dataset::decode`] would report. When the sample does not
-    /// fit (another field count, or a field of another byte size) it must
-    /// fail with an error rather than write a partial row: that is how a
-    /// ragged sample fails its batch, as `stack0` fails on it.
+    /// `layout` is the batch's layout — one [`FieldLayout`] per tensor
+    /// field, taken from the batch's first sample — and `out` holds one
+    /// slice per field, `out[i]` being `layout[i].row_bytes()` long. An
+    /// implementation first checks that the sample is a row of `layout`:
+    /// the same field count and, per field, the same dtype, shape and
+    /// device ([`check_row`]). When it is not, it fails with that error
+    /// and writes nothing — that is how a ragged sample fails its batch,
+    /// with the errors `stack0` reports for it. Otherwise it writes every
+    /// byte of every slice with the field's dense, row-major bytes —
+    /// exactly what [`Dataset::decode`] followed by
+    /// [`Tensor::copy_bytes_into`] writes — and returns the label
+    /// [`Dataset::decode`] would report.
     ///
-    /// The default decodes and then copies each field in: correct for any
-    /// dataset, at one extra write per byte. Override it to decode in
-    /// place, as the synthetic datasets do.
-    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
+    /// The default decodes, checks the tensors against `layout` and then
+    /// copies each field in: correct for any dataset, at one extra write
+    /// per byte. Override it to decode in place, as the synthetic datasets
+    /// do; a dataset that wraps another forwards it, as the combinators do.
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        layout: &[FieldLayout],
+        out: &mut [&mut [u8]],
+    ) -> Result<i64> {
         let decoded = self.decode(raw)?;
-        check_fields_fit(
-            raw.index,
-            decoded.fields.iter().map(Tensor::view_bytes),
-            out,
-        )?;
+        check_row(layout, out, decoded.fields.iter().map(FieldLayout::meta))?;
         for (t, dst) in decoded.fields.iter().zip(out.iter_mut()) {
             t.copy_bytes_into(dst)?;
         }
@@ -94,30 +100,97 @@ pub trait Dataset: Send + Sync {
     }
 }
 
-/// Checks that a sample whose fields have byte sizes `field_bytes` fits
-/// the row slices `out` of [`Dataset::decode_into`]; the error names the
-/// first mismatch.
-pub(crate) fn check_fields_fit(
-    index: usize,
-    field_bytes: impl ExactSizeIterator<Item = usize>,
-    out: &[&mut [u8]],
-) -> Result<()> {
-    if field_bytes.len() != out.len() {
-        return Err(ts_tensor::TensorError::Shape(format!(
-            "sample {index} has {} fields, the batch {}",
-            field_bytes.len(),
-            out.len()
-        ))
-        .into());
+/// What every row of one batch field holds: one sample's dtype, shape and
+/// device. A batch field of `B` samples is a `[B, shape..]` tensor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldLayout {
+    /// Element type.
+    pub dtype: DType,
+    /// Shape of one sample's field.
+    pub shape: Vec<usize>,
+    /// Device the field lives on.
+    pub device: DeviceId,
+}
+
+impl FieldLayout {
+    /// The layout of which `t` is a row.
+    pub fn of(t: &Tensor) -> Self {
+        Self {
+            dtype: t.dtype(),
+            shape: t.shape().to_vec(),
+            device: t.device(),
+        }
     }
-    for (f, (bytes, dst)) in field_bytes.zip(out).enumerate() {
-        if bytes != dst.len() {
-            return Err(ts_tensor::TensorError::Shape(format!(
-                "collate shape mismatch: sample {index} field {f} is {bytes} B, the batch row {} B",
-                dst.len()
+
+    /// Bytes one row occupies.
+    pub fn row_bytes(&self) -> usize {
+        self.shape.iter().product::<usize>() * self.dtype.size_bytes()
+    }
+
+    /// `t`'s `(dtype, shape, device)`, the item [`check_row`] takes.
+    pub fn meta(t: &Tensor) -> (DType, &[usize], DeviceId) {
+        (t.dtype(), t.shape(), t.device())
+    }
+
+    /// Fails, with `collate::stack0`'s error, when a field of this dtype,
+    /// shape and device cannot be a row of this layout.
+    fn check(&self, dtype: DType, shape: &[usize], device: DeviceId) -> Result<()> {
+        if dtype != self.dtype {
+            return Err(TensorError::DType {
+                expected: self.dtype,
+                got: dtype,
+            }
+            .into());
+        }
+        if shape != self.shape.as_slice() {
+            return Err(TensorError::Shape(format!(
+                "collate shape mismatch: {shape:?} vs {:?}",
+                self.shape
             ))
             .into());
         }
+        if device != self.device {
+            return Err(TensorError::Device(format!(
+                "collate device mismatch: {device} vs {}",
+                self.device
+            ))
+            .into());
+        }
+        Ok(())
+    }
+}
+
+/// Checks that a sample whose fields have the given `(dtype, shape,
+/// device)` is a row of `layout`, and that `out` holds one slice of the
+/// row's size per field — the checks every [`Dataset::decode_into`] makes
+/// before writing. The error names the first mismatch.
+pub fn check_row<'a>(
+    layout: &[FieldLayout],
+    out: &[&mut [u8]],
+    fields: impl ExactSizeIterator<Item = (DType, &'a [usize], DeviceId)>,
+) -> Result<()> {
+    if fields.len() != layout.len() {
+        return Err(TensorError::Shape(format!(
+            "collate field count mismatch: {} vs {}",
+            fields.len(),
+            layout.len()
+        ))
+        .into());
+    }
+    for (l, (dtype, shape, device)) in layout.iter().zip(fields) {
+        l.check(dtype, shape, device)?;
+    }
+    let sized = out.len() == layout.len()
+        && layout
+            .iter()
+            .zip(out)
+            .all(|(l, o)| o.len() == l.row_bytes());
+    if !sized {
+        return Err(TensorError::Shape(format!(
+            "row buffers of {:?} B do not fit the layout {layout:?}",
+            out.iter().map(|o| o.len()).collect::<Vec<_>>()
+        ))
+        .into());
     }
     Ok(())
 }
@@ -125,7 +198,6 @@ pub(crate) fn check_fields_fit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_device::DeviceId;
 
     struct TinyDataset;
 

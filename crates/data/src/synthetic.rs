@@ -2,10 +2,10 @@
 //! datasets (Table 1): ImageNet-1K, LibriSpeech, CC3M, Alpaca.
 
 use crate::codec::{decode_bytes, decode_bytes_into, decode_f32, encode_stub};
-use crate::sample::{check_fields_fit, Dataset, DecodedSample, RawSample};
+use crate::sample::{check_row, Dataset, DecodedSample, FieldLayout, RawSample};
 use crate::{DataError, Result};
 use ts_device::DeviceId;
-use ts_tensor::Tensor;
+use ts_tensor::{DType, Tensor};
 
 fn check_index(index: usize, len: usize) -> Result<()> {
     if index >= len {
@@ -119,8 +119,18 @@ impl Dataset for SyntheticImageDataset {
         })
     }
 
-    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
-        check_fields_fit(raw.index, [3 * self.height * self.width].into_iter(), out)?;
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        layout: &[FieldLayout],
+        out: &mut [&mut [u8]],
+    ) -> Result<i64> {
+        let image = [3, self.height, self.width];
+        check_row(
+            layout,
+            out,
+            [(DType::U8, &image[..], DeviceId::Cpu)].into_iter(),
+        )?;
         decode_bytes_into(&raw.bytes, out[0]);
         Ok(raw.label)
     }
@@ -193,9 +203,18 @@ impl Dataset for SyntheticAudioDataset {
         })
     }
 
-    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        layout: &[FieldLayout],
+        out: &mut [&mut [u8]],
+    ) -> Result<i64> {
         let n = self.samples_per_clip;
-        check_fields_fit(raw.index, [4 * n].into_iter(), out)?;
+        check_row(
+            layout,
+            out,
+            [(DType::F32, &[n][..], DeviceId::Cpu)].into_iter(),
+        )?;
         decode_bytes_into(&raw.bytes, &mut out[0][..n]);
         widen_in_place(out[0], 1, |b| ((b[0] as f32 / 127.5) - 1.0).to_le_bytes());
         Ok(raw.label)
@@ -272,9 +291,18 @@ impl Dataset for SyntheticCaptionDataset {
         })
     }
 
-    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
-        let n = 3 * self.height * self.width;
-        check_fields_fit(raw.index, [n, 8 * self.tokens].into_iter(), out)?;
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        layout: &[FieldLayout],
+        out: &mut [&mut [u8]],
+    ) -> Result<i64> {
+        let (image, caption) = ([3, self.height, self.width], [self.tokens]);
+        let fields = [
+            (DType::U8, &image[..], DeviceId::Cpu),
+            (DType::I64, &caption[..], DeviceId::Cpu),
+        ];
+        check_row(layout, out, fields.into_iter())?;
         decode_bytes_into(&raw.bytes, out[0]);
         let caption = &mut *out[1];
         decode_bytes_into(
@@ -358,8 +386,18 @@ impl Dataset for SyntheticTextDataset {
         })
     }
 
-    fn decode_into(&self, raw: &RawSample, out: &mut [&mut [u8]]) -> Result<i64> {
-        check_fields_fit(raw.index, [8 * self.max_tokens].into_iter(), out)?;
+    fn decode_into(
+        &self,
+        raw: &RawSample,
+        layout: &[FieldLayout],
+        out: &mut [&mut [u8]],
+    ) -> Result<i64> {
+        let tokens = [self.max_tokens];
+        check_row(
+            layout,
+            out,
+            [(DType::I64, &tokens[..], DeviceId::Cpu)].into_iter(),
+        )?;
         let real = self.real_tokens(raw.index);
         let (tokens, pad) = out[0].split_at_mut(8 * real);
         decode_bytes_into(&raw.bytes, &mut tokens[..2 * real]);

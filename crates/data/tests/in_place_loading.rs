@@ -8,12 +8,13 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use ts_data::{
-    Batch, DataLoader, DataLoaderConfig, Dataset, DecodedSample, Pipeline, RandomCrop, RawSample,
-    SyntheticAudioDataset, SyntheticCaptionDataset, SyntheticImageDataset, SyntheticTextDataset,
+    Batch, ConcatDataset, DataLoader, DataLoaderConfig, Dataset, DecodedSample, FieldLayout,
+    Pipeline, RandomCrop, RawSample, SubsetDataset, SyntheticAudioDataset, SyntheticCaptionDataset,
+    SyntheticImageDataset, SyntheticTextDataset,
 };
 use ts_device::DeviceId;
 use ts_shm::ShmArena;
-use ts_tensor::{stack0, SlotPool, Tensor};
+use ts_tensor::{stack0, DType, SlotPool, Tensor};
 
 fn temp_arena(nslots: usize, slot_size: usize) -> Arc<ShmArena> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -25,18 +26,16 @@ fn temp_arena(nslots: usize, slot_size: usize) -> Arc<ShmArena> {
     ShmArena::create(path, nslots, slot_size).unwrap()
 }
 
-/// Decodes `index` both ways and checks the bytes and label agree.
+/// Decodes `index` both ways and checks the bytes and label agree, and
+/// that a layout the sample does not fit is refused without a write.
 fn assert_decode_into_matches(ds: &dyn Dataset, index: usize) {
     let raw = ds.get(index).unwrap();
     let decoded = ds.decode(&raw).unwrap();
+    let layout: Vec<FieldLayout> = decoded.fields.iter().map(FieldLayout::of).collect();
     // Poisoned rows: every byte must be overwritten.
-    let mut rows: Vec<Vec<u8>> = decoded
-        .fields
-        .iter()
-        .map(|t| vec![0xA5; t.view_bytes()])
-        .collect();
+    let mut rows: Vec<Vec<u8>> = layout.iter().map(|l| vec![0xA5; l.row_bytes()]).collect();
     let mut out: Vec<&mut [u8]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
-    let label = ds.decode_into(&raw, &mut out).unwrap();
+    let label = ds.decode_into(&raw, &layout, &mut out).unwrap();
     assert_eq!(label, decoded.label, "{} sample {index}: label", ds.name());
     for (f, (t, row)) in decoded.fields.iter().zip(&rows).enumerate() {
         assert_eq!(
@@ -46,10 +45,40 @@ fn assert_decode_into_matches(ds: &dyn Dataset, index: usize) {
             ds.name()
         );
     }
-    // A row of the wrong size is refused, not half-written silently.
-    let mut short = vec![0u8; decoded.fields[0].view_bytes() - 1];
-    let mut out: Vec<&mut [u8]> = vec![short.as_mut_slice()];
-    assert!(ds.decode_into(&raw, &mut out).is_err(), "{}", ds.name());
+    // Layouts of field 0 the sample is not a row of: one element short,
+    // the same bytes under another shape, and the same shape under
+    // another dtype of the same width.
+    let l0 = &layout[0];
+    let numel: usize = l0.shape.iter().product();
+    let mut wrong = vec![
+        FieldLayout {
+            shape: vec![numel - 1],
+            ..l0.clone()
+        },
+        FieldLayout {
+            shape: [&[1], &l0.shape[..]].concat(),
+            ..l0.clone()
+        },
+    ];
+    if l0.dtype == DType::U8 {
+        wrong.push(FieldLayout {
+            dtype: DType::Bool,
+            ..l0.clone()
+        });
+    }
+    for w in wrong {
+        let mut bad = layout.clone();
+        bad[0] = w;
+        let mut rows: Vec<Vec<u8>> = bad.iter().map(|l| vec![0xA5; l.row_bytes()]).collect();
+        let mut out: Vec<&mut [u8]> = rows.iter_mut().map(Vec::as_mut_slice).collect();
+        let refused = ds.decode_into(&raw, &bad, &mut out);
+        assert!(refused.is_err(), "{} accepted {:?}", ds.name(), bad[0]);
+        assert!(
+            rows.iter().flatten().all(|&b| b == 0xA5),
+            "{} wrote a row it refused",
+            ds.name()
+        );
+    }
 }
 
 proptest! {
@@ -65,6 +94,12 @@ proptest! {
         assert_decode_into_matches(&SyntheticAudioDataset::new(16, len, seed), index);
         assert_decode_into_matches(&SyntheticCaptionDataset::new(16, seed), index);
         assert_decode_into_matches(&SyntheticTextDataset::new(16, 4 + len, seed), index);
+        // The combinators forward to their parts' in-place decode.
+        let image: Arc<dyn Dataset> = Arc::new(image);
+        let text: Arc<dyn Dataset> = Arc::new(SyntheticTextDataset::new(8, 4 + len, seed));
+        assert_decode_into_matches(&ConcatDataset::new(vec![text, image.clone()]), 8 + index);
+        let subset = SubsetDataset::new(image, (0..16).rev().collect()).unwrap();
+        assert_decode_into_matches(&subset, index);
     }
 }
 
@@ -149,19 +184,20 @@ fn batches_match_per_sample_decode_and_stack() {
     }
 }
 
-/// A dataset whose sample 5 is one byte short, decoded through the
-/// default `decode_into`.
-struct Ragged;
+/// A dataset of eight 4-byte `U8 [4]` samples, decoded through the
+/// default `decode_into`, except that sample 5 decodes to `odd(bytes)`.
+struct Ragged {
+    odd: fn(Vec<u8>) -> Tensor,
+}
 
 impl Dataset for Ragged {
     fn len(&self) -> usize {
         8
     }
     fn get(&self, index: usize) -> ts_data::Result<RawSample> {
-        let len = if index == 5 { 3 } else { 4 };
         Ok(RawSample {
             index,
-            bytes: bytes::Bytes::from(vec![index as u8; len]),
+            bytes: bytes::Bytes::from(vec![index as u8; 4]),
             label: index as i64,
         })
     }
@@ -169,19 +205,32 @@ impl Dataset for Ragged {
         4
     }
     fn decode(&self, raw: &RawSample) -> ts_data::Result<DecodedSample> {
-        let n = raw.bytes.len();
+        let bytes = raw.bytes.to_vec();
+        let field = if raw.index == 5 {
+            (self.odd)(bytes)
+        } else {
+            Tensor::from_u8(bytes, &[4], DeviceId::Cpu)?
+        };
         Ok(DecodedSample {
             index: raw.index,
-            fields: vec![Tensor::from_u8(raw.bytes.to_vec(), &[n], DeviceId::Cpu)?],
+            fields: vec![field],
             label: raw.label,
         })
     }
 }
 
-#[test]
-fn ragged_samples_fail_their_batch_like_stack0() {
+/// Loads `ds` in batches of 4 and checks that batch 0 is whole while
+/// batch 1 — samples 4..8 — fails, as stacking its samples does.
+fn assert_second_batch_fails(ds: Arc<dyn Dataset>, tag: &str) {
+    let rows: Vec<Tensor> = (4..8)
+        .map(|i| ds.decode(&ds.get(i).unwrap()).unwrap().fields[0].clone())
+        .collect();
+    assert!(stack0(&rows).is_err(), "{tag}: stack0 accepted batch 1");
+    let reference: Vec<Tensor> = (0..4)
+        .map(|i| ds.decode(&ds.get(i).unwrap()).unwrap().fields[0].clone())
+        .collect();
     let loader = DataLoader::new(
-        Arc::new(Ragged),
+        ds,
         DataLoaderConfig {
             batch_size: 4,
             shuffle: false,
@@ -190,14 +239,33 @@ fn ragged_samples_fail_their_batch_like_stack0() {
     );
     let mut it = loader.epoch(0);
     let first = it.next().unwrap();
-    assert_eq!(first.fields[0].shape(), &[4, 4]);
-    assert_eq!(first.fields[0].to_vec_u8().unwrap()[12..], [3, 3, 3, 3]);
-    // Batch 1 holds sample 5, one byte short: stacking its samples fails,
-    // and so does the batch.
-    let rows: Vec<Tensor> = (4..8)
-        .map(|i| Ragged.decode(&Ragged.get(i).unwrap()).unwrap().fields[0].clone())
-        .collect();
-    assert!(stack0(&rows).is_err());
+    let want = stack0(&reference).unwrap();
+    assert_eq!(first.fields[0].shape(), want.shape(), "{tag}");
+    assert_eq!(first.fields[0].gather_bytes(), want.gather_bytes(), "{tag}");
     let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| it.next()));
-    assert!(failed.is_err(), "ragged batch must fail");
+    assert!(failed.is_err(), "{tag}: ragged batch must fail");
+}
+
+#[test]
+fn ragged_samples_fail_their_batch_like_stack0() {
+    let short = Ragged {
+        odd: |b| Tensor::from_u8(b[..3].to_vec(), &[3], DeviceId::Cpu).unwrap(),
+    };
+    assert_second_batch_fails(Arc::new(short), "one byte short");
+    // Same byte size as the other rows, so only a shape or dtype check
+    // can tell.
+    let reshaped = Ragged {
+        odd: |b| Tensor::from_u8(b, &[2, 2], DeviceId::Cpu).unwrap(),
+    };
+    assert_second_batch_fails(Arc::new(reshaped), "same bytes, other shape");
+    let retyped = Ragged {
+        odd: |b| Tensor::from_bytes(b, DType::Bool, &[4], DeviceId::Cpu).unwrap(),
+    };
+    assert_second_batch_fails(Arc::new(retyped), "same bytes, other dtype");
+    // Two image datasets of transposed geometry: equal byte sizes, and
+    // decoded in place through the concatenation.
+    let tall: Arc<dyn Dataset> = Arc::new(SyntheticImageDataset::new(6, 24, 16, 1));
+    let wide: Arc<dyn Dataset> = Arc::new(SyntheticImageDataset::new(2, 16, 24, 2));
+    let mixed = ConcatDataset::new(vec![tall, wide]);
+    assert_second_batch_fails(Arc::new(mixed), "concat of 24x16 and 16x24 images");
 }

@@ -281,7 +281,15 @@ fn log_replay_multi_process_kill9_group_resume() {
     let arena = group.arena().expect("builder provisioned arena").clone();
 
     // Sample arena occupancy for the whole run: the high-water mark is
-    // the pin-shedding acceptance signal.
+    // the pin-shedding acceptance signal. Idle slots the shards' recycling
+    // pools hold in reserve are not batches, so they are not counted.
+    let pools: Vec<_> = (0..SHARDS as u32)
+        .map(|shard| {
+            ctx.registry
+                .shard_slot_pool(shard)
+                .expect("builder bound a per-shard pool")
+        })
+        .collect();
     let stop_sampling = Arc::new(AtomicBool::new(false));
     let max_in_use = Arc::new(AtomicUsize::new(0));
     let sampler = {
@@ -290,7 +298,8 @@ fn log_replay_multi_process_kill9_group_resume() {
         let max = max_in_use.clone();
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                max.fetch_max(arena.slots_in_use(), Ordering::Relaxed);
+                let idle: usize = pools.iter().map(|p| p.free_count()).sum();
+                max.fetch_max(arena.slots_in_use().saturating_sub(idle), Ordering::Relaxed);
                 std::thread::sleep(Duration::from_millis(2));
             }
         })
